@@ -1,4 +1,4 @@
-// Command perfbench is the repository benchmark. It drives one of four
+// Command perfbench is the repository benchmark. It drives one of three
 // workloads through the public APIs of repro/internal/..., checks every
 // output, and prints one JSON result line last.
 //
@@ -9,7 +9,7 @@
 //
 // Run it from the repository root:
 //
-//	bash perfbench/run.sh --workload chaos-soak --seed 0 --seconds 10 --trace 0
+//	bash perfbench/run.sh --workload fleet-soak --seed 0 --seconds 36 --trace 0
 //
 // Seed 0 replays the committed inputs, whose outputs are also compared
 // with committed references; any other seed rewrites the input seeds.
@@ -36,7 +36,7 @@ func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	name := fs.String("workload", "", "workload: "+strings.Join(workloadNames(), ", "))
 	seed := fs.Int64("seed", 0, "workload seed; 0 replays the committed inputs")
-	seconds := fs.Int("seconds", 10, "how long the end-to-end run measures")
+	seconds := fs.Int("seconds", 36, "how long the end-to-end run measures")
 	trace := fs.Int("trace", 0, "0 measures end to end; 1 makes the traced per-layer run")
 	if err := fs.Parse(args); err != nil {
 		return 2

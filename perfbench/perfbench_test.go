@@ -66,6 +66,25 @@ func TestTailLeavesTenSamplesBeyond(t *testing.T) {
 	}
 }
 
+func TestOverrunsStopsShortOfTheBudget(t *testing.T) {
+	const s = time.Second
+	for _, c := range []struct {
+		elapsed time.Duration
+		n       int
+		want    bool
+	}{
+		{0, 0, false},       // nothing has run yet
+		{16 * s, 2, false},  // a third 8 s run ends at 24 s
+		{24 * s, 3, true},   // a fourth would end at 32 s
+		{24 * s, 24, false}, // short runs fill the budget exactly
+		{25 * s, 25, true},
+	} {
+		if got := overruns(c.elapsed, c.n, 25*s); got != c.want {
+			t.Errorf("overruns(%v, %d, 25s) = %v, want %v", c.elapsed, c.n, got, c.want)
+		}
+	}
+}
+
 func TestSelfTimeOverlappingChildren(t *testing.T) {
 	parent := span{Start: 0, End: 100}
 	kids := []span{
@@ -215,13 +234,13 @@ func TestCPUSharesAttributeLeafFrames(t *testing.T) {
 }
 
 func TestGoldenAndDigestComparison(t *testing.T) {
-	rep := &scenario.Report{Scenario: "s", Version: 1, Violations: []string{}}
+	rep := &scenario.FleetReport{Scenario: "s", Version: 1, Violations: []string{}}
 	want, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, '\n')
-	r := &scenarioRunner{file: "s", golden: want, res: &scenario.Result{Report: rep}}
+	r := &scenarioRunner{file: "s", golden: want, res: &scenario.FleetResult{Report: rep}}
 	if a, f := r.check(); a != 1 || f != 0 {
 		t.Fatalf("matching report: %d attempted, %d failed", a, f)
 	}

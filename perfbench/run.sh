@@ -2,7 +2,7 @@
 # Builds the benchmark from this checkout's sources and runs it.
 # Run from the repository root, for example:
 #
-#   bash perfbench/run.sh --workload chaos-soak --seed 0 --seconds 10 --trace 0
+#   bash perfbench/run.sh --workload fleet-soak --seed 0 --seconds 36 --trace 0
 #
 # The binary, the Go build cache and Go's temporary files stay under
 # .bench_build/ in the checkout.

@@ -259,12 +259,10 @@ func traceScenario(r *scenarioRunner, tr *tracer, res *result, out io.Writer) ([
 	tick := snap.Histograms["wall.arbiter.tick_us"]
 	res.set("fleet.ticks", float64(tick.Count), "count")
 	res.set("fleet.tick_ms_total", tick.Mean*float64(tick.Count)/1000, "ms")
-	if r.fres != nil {
-		a := r.fres.Report.Arbiter
-		res.set("fleet.leases", float64(a.Leases), "count")
-		res.set("fleet.revocations", float64(a.Revocations), "count")
-		res.set("fleet.cascades", float64(a.Cascades), "count")
-	}
+	a := r.res.Report.Arbiter
+	res.set("fleet.leases", float64(a.Leases), "count")
+	res.set("fleet.revocations", float64(a.Revocations), "count")
+	res.set("fleet.cascades", float64(a.Cascades), "count")
 	res.set("obs.overhead_frac", runD.Seconds()/m.seconds-1, "ratio")
 	res.set("obs.spans", float64(otr.Len()), "count")
 	fmt.Fprintf(out, "scenario.run traced %.3f s vs untraced %.3f s\n", runD.Seconds(), m.seconds)
