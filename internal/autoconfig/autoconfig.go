@@ -11,6 +11,7 @@ package autoconfig
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -195,24 +196,21 @@ func (c *costCache) snapshot() map[costKey]*costEntry {
 
 // estimate returns the simulated mini-batch time for one fully
 // specified candidate, serving both the StageCosts assembly and the
-// anchor simulations from the cache when the key was seen before. A
-// nil receiver computes without caching (the Evaluate fast path).
-func (c *costCache) estimate(in Inputs, stages []model.Stage, p, m, d, nm int) (simtime.Duration, error) {
+// anchor simulations from the cache when the key was seen before.
+// Costs the bound pass already assembled (mp.costs) are reused rather
+// than rebuilt. A nil receiver computes without caching (the stateless
+// Evaluate path).
+func (c *costCache) estimate(in Inputs, dp *depthPlan, mp microPlan) (simtime.Duration, error) {
 	if c == nil {
-		costs, err := in.Params.StageCosts(in.Spec, stages, m, d, interFlags(p, in.GPUsPerNode))
+		costs, err := dp.assemble(in, mp.m)
 		if err != nil {
 			return 0, err
 		}
-		return sim.EstimateMakespan(sim.Config{
-			Depth:  p,
-			Micros: nm,
-			Policy: schedule.Varuna,
-			Costs:  costs,
-		})
+		return sim.EstimateMakespan(simConfig(dp.p, mp.nm, costs))
 	}
-	key := costKey{spec: in.Spec, p: p, m: m, d: d}
+	key := costKey{spec: in.Spec, p: dp.p, m: mp.m, d: dp.d}
 	e, ok := c.lookup(key)
-	if ok && e.nm == nm {
+	if ok && e.nm == mp.nm {
 		c.hits.Add(1)
 		return e.est, nil
 	}
@@ -221,29 +219,94 @@ func (c *costCache) estimate(in Inputs, stages []model.Stage, p, m, d, nm int) (
 	// work but store identical values, which keeps the hot path free
 	// of per-key latches.
 	c.misses.Add(1)
-	var costs []sim.StageCosts
-	if ok {
+	costs := mp.costs
+	switch {
+	case ok:
 		costs = e.costs
-	} else {
+	case costs == nil:
 		var err error
-		costs, err = in.Params.StageCosts(in.Spec, stages, m, d, interFlags(p, in.GPUsPerNode))
-		if err != nil {
+		if costs, err = dp.assemble(in, mp.m); err != nil {
 			return 0, err
 		}
 		c.costComputes.Add(1)
 	}
-	est, err := sim.EstimateMakespan(sim.Config{
-		Depth:  p,
-		Micros: nm,
-		Policy: schedule.Varuna,
-		Costs:  costs,
-	})
+	est, err := sim.EstimateMakespan(simConfig(dp.p, mp.nm, costs))
 	if err != nil {
 		return 0, err
 	}
 	c.simAnchors.Add(1)
-	c.store(key, &costEntry{costs: costs, nm: nm, est: est})
+	c.store(key, &costEntry{costs: costs, nm: mp.nm, est: est})
 	return est, nil
+}
+
+// costsFor serves the bound pass: the key's StageCosts, plus its
+// estimate when one was simulated at mp.nm (exact). Costs of an
+// uncached key are assembled and counted in CostComputes but not
+// stored: the cache holds only simulated entries, which is what
+// ExportState persists.
+func (c *costCache) costsFor(in Inputs, dp *depthPlan, mp microPlan) (costs []sim.StageCosts, est simtime.Duration, exact bool, err error) {
+	if e, ok := c.lookup(costKey{spec: in.Spec, p: dp.p, m: mp.m, d: dp.d}); ok {
+		return e.costs, e.est, e.nm == mp.nm, nil
+	}
+	if costs, err = dp.assemble(in, mp.m); err != nil {
+		return nil, 0, false, err
+	}
+	c.costComputes.Add(1)
+	return costs, 0, false, nil
+}
+
+// simConfig is the simulator input of one candidate: the Varuna
+// schedule on mean costs, no jitter.
+func simConfig(p, nm int, costs []sim.StageCosts) sim.Config {
+	return sim.Config{Depth: p, Micros: nm, Policy: schedule.Varuna, Costs: costs}
+}
+
+// depthPlan is one (P, D) candidate before simulation: its balanced
+// partition and the micro-batch sizes evaluate simulates.
+type depthPlan struct {
+	p, d   int
+	stages []model.Stage
+	micros []microPlan
+}
+
+// microPlan is one micro-batch size of a depthPlan. costs, when set,
+// were assembled or found cached by the bound pass.
+type microPlan struct {
+	m, nm int
+	costs []sim.StageCosts
+}
+
+// planDepth partitions the model for depth p and picks the micro-batch
+// sizes worth simulating (pruneMicroSizes).
+func planDepth(in Inputs, p, d int) (depthPlan, error) {
+	if p < 1 || d < 1 {
+		return depthPlan{}, fmt.Errorf("autoconfig: bad shape %dx%d", p, d)
+	}
+	stages, err := model.Partition(in.Spec, in.Cuts, p, true)
+	if err != nil {
+		return depthPlan{}, err
+	}
+	dp := depthPlan{p: p, d: d, stages: stages}
+	for _, m := range pruneMicroSizes(in, stages, p, d, in.Params.PickMicroSize(0.05)) {
+		dp.micros = append(dp.micros, microPlan{m: m, nm: GradAccum(in.MTotal, m, d)})
+	}
+	return dp, nil
+}
+
+// assemble builds the per-stage simulator costs at micro-batch size m.
+func (dp *depthPlan) assemble(in Inputs, m int) ([]sim.StageCosts, error) {
+	return in.Params.StageCosts(in.Spec, dp.stages, m, dp.d, interFlags(dp.p, in.GPUsPerNode))
+}
+
+// choice is the configuration mp describes with mini-batch time est.
+func (dp *depthPlan) choice(mp microPlan, est simtime.Duration) Choice {
+	return Choice{
+		P: dp.p, D: dp.d, M: mp.m, Nm: mp.nm,
+		Stages:   dp.stages,
+		Est:      est,
+		GPUsUsed: dp.p * dp.d,
+		Examples: mp.m * mp.nm * dp.d,
+	}
 }
 
 // Evaluate builds and simulates a single (P, D) candidate, choosing the
@@ -257,42 +320,60 @@ func Evaluate(in Inputs, p, d int) (Choice, error) {
 }
 
 func evaluate(in Inputs, p, d int, cache *costCache) (Choice, error) {
-	if p < 1 || d < 1 {
-		return Choice{}, fmt.Errorf("autoconfig: bad shape %dx%d", p, d)
-	}
-	stages, err := model.Partition(in.Spec, in.Cuts, p, true)
+	dp, err := planDepth(in, p, d)
 	if err != nil {
 		return Choice{}, err
 	}
-	sweet := in.Params.PickMicroSize(0.05)
-	candidates := pruneMicroSizes(in, stages, p, d, sweet)
+	return dp.evaluate(in, cache)
+}
+
+// evaluate simulates every micro-batch size of dp and keeps the
+// fastest, the first among equals. An error at any size fails the
+// whole depth.
+func (dp *depthPlan) evaluate(in Inputs, cache *costCache) (Choice, error) {
 	var best Choice
 	found := false
-	for _, m := range candidates {
-		nm := GradAccum(in.MTotal, m, d)
-		if !fits(in, stages, m, nm, p) {
-			continue
-		}
-		est, err := cache.estimate(in, stages, p, m, d, nm)
+	for _, mp := range dp.micros {
+		est, err := cache.estimate(in, dp, mp)
 		if err != nil {
 			return Choice{}, err
 		}
-		c := Choice{
-			P: p, D: d, M: m, Nm: nm,
-			Stages:   stages,
-			Est:      est,
-			GPUsUsed: p * d,
-			Examples: m * nm * d,
-		}
+		c := dp.choice(mp, est)
 		if !found || c.TotalExPerSec() > best.TotalExPerSec() {
 			best = c
 			found = true
 		}
 	}
 	if !found {
-		return Choice{}, fmt.Errorf("autoconfig: %s does not fit at P=%d on this GPU memory", in.Spec.Name, p)
+		return Choice{}, fmt.Errorf("autoconfig: %s does not fit at P=%d on this GPU memory", in.Spec.Name, dp.p)
 	}
 	return best, nil
+}
+
+// ceiling bounds from above the throughput dp.evaluate can return:
+// per micro-batch size, Examples over the cached estimate when the
+// cache holds one at this Nm (exact), else over
+// sim.MakespanLowerBound (never above the estimate), and +Inf when the
+// bound offers nothing or the costs fail to assemble (evaluate then
+// meets the same error). The costs it assembles or finds cached stay
+// on dp, so evaluating dp later rebuilds none.
+func (dp *depthPlan) ceiling(in Inputs, cache *costCache) float64 {
+	ceil := 0.0
+	for i := range dp.micros {
+		mp := &dp.micros[i]
+		costs, est, exact, err := cache.costsFor(in, dp, *mp)
+		if err != nil {
+			return math.Inf(1)
+		}
+		mp.costs = costs
+		if !exact {
+			if est = sim.MakespanLowerBound(simConfig(dp.p, mp.nm, costs)); est <= 0 {
+				return math.Inf(1)
+			}
+		}
+		ceil = max(ceil, dp.choice(*mp, est).TotalExPerSec())
+	}
+	return ceil
 }
 
 // pruneMicroSizes ranks the memory-feasible profiled micro-batch sizes
@@ -357,37 +438,10 @@ func Sweep(in Inputs, g int) ([]Choice, error) {
 // long-lived cache (nil builds a per-sweep one); workers <= 1
 // evaluates serially. Tests compare the paths for identity.
 func sweepWorkers(in Inputs, g, workers int, cache *costCache) ([]Choice, error) {
-	if g < 1 {
-		return nil, fmt.Errorf("autoconfig: no GPUs")
+	cands, err := sweepShapes(in, g)
+	if err != nil {
+		return nil, err
 	}
-	maxP := len(in.Cuts) + 1
-	if maxP > g {
-		maxP = g
-	}
-	// For a fixed data-parallel width D the deepest pipeline that the
-	// cut-points allow, P = min(⌊G/D⌋, maxP), strictly dominates
-	// shallower ones at the same D: same allreduce cost, fewer idle
-	// GPUs. Sweeping the distinct D values therefore covers the
-	// configuration space in O(G/P_min) simulator calls instead of
-	// O(maxP) — the §4.4 exploration bound.
-	type cand struct{ p, d int }
-	var cands []cand
-	seen := make(map[int]bool)
-	for d := 1; d <= g; d++ {
-		p := g / d
-		if p > maxP {
-			p = maxP
-		}
-		if p < 1 {
-			break
-		}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		cands = append(cands, cand{p: p, d: g / p})
-	}
-
 	choices := make([]Choice, len(cands))
 	errs := make([]error, len(cands))
 	if cache == nil {
@@ -430,31 +484,143 @@ func sweepWorkers(in Inputs, g, workers int, cache *costCache) ([]Choice, error)
 		out = append(out, choices[i])
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("autoconfig: %s does not fit on %d×%s GPUs", in.Spec.Name, g, humanBytes(in.GPUMem))
+		return nil, errNoFit(in, g)
 	}
 	return out, nil
 }
 
-// Best picks the highest-total-throughput configuration for g GPUs —
-// the decision rule the §4.6 manager applies after every fleet change.
-func Best(in Inputs, g int) (Choice, error) {
-	return best(g, func(g int) ([]Choice, error) { return Sweep(in, g) })
+// shape is one (P, D) candidate of a sweep.
+type shape struct{ p, d int }
+
+// sweepShapes enumerates the depths a sweep of g GPUs evaluates, in
+// ascending D. For a fixed data-parallel width D the deepest pipeline
+// that the cut-points allow, P = min(⌊G/D⌋, maxP), strictly dominates
+// shallower ones at the same D: same allreduce cost, fewer idle GPUs.
+// Sweeping the distinct D values therefore covers the configuration
+// space in O(G/P_min) simulator calls instead of O(maxP) — the §4.4
+// exploration bound.
+func sweepShapes(in Inputs, g int) ([]shape, error) {
+	if g < 1 {
+		return nil, fmt.Errorf("autoconfig: no GPUs")
+	}
+	maxP := len(in.Cuts) + 1
+	if maxP > g {
+		maxP = g
+	}
+	var out []shape
+	seen := make(map[int]bool)
+	for d := 1; d <= g; d++ {
+		p := g / d
+		if p > maxP {
+			p = maxP
+		}
+		if p < 1 {
+			break
+		}
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		out = append(out, shape{p: p, d: g / p})
+	}
+	return out, nil
 }
 
-// best reduces a sweep to its top-throughput choice; the sweep
-// function seam lets Planner.Best route through the lifetime caches.
-func best(g int, sweep func(int) ([]Choice, error)) (Choice, error) {
-	out, err := sweep(g)
+// errNoFit is the sweep's error when no depth is feasible.
+func errNoFit(in Inputs, g int) error {
+	return fmt.Errorf("autoconfig: %s does not fit on %d×%s GPUs", in.Spec.Name, g, humanBytes(in.GPUMem))
+}
+
+// Best picks the highest-total-throughput configuration for g GPUs —
+// the decision rule the §4.6 manager applies after every fleet change.
+// It is the stateless full-sweep reference for Planner.Best.
+func Best(in Inputs, g int) (Choice, error) {
+	out, err := Sweep(in, g)
 	if err != nil {
 		return Choice{}, err
 	}
-	top := out[0]
+	return top(out), nil
+}
+
+// top reduces sweep output (ascending D) to its highest-throughput
+// choice, the first among equals.
+func top(out []Choice) Choice {
+	t := out[0]
 	for _, c := range out[1:] {
-		if c.TotalExPerSec() > top.TotalExPerSec() {
-			top = c
+		if c.TotalExPerSec() > t.TotalExPerSec() {
+			t = c
 		}
 	}
-	return top, nil
+	return t
+}
+
+// boundedBest returns exactly what Best does, as a branch-and-bound
+// over the depths a sweep evaluates. Each depth gets a throughput
+// ceiling (depthPlan.ceiling); depths are simulated in descending
+// ceiling order, ties in ascending D, and the walk stops at the first
+// ceiling strictly below the best throughput simulated so far. Every
+// depth left has a ceiling that low, so none can match the winner, let
+// alone beat it: every depth reaching the top throughput is simulated,
+// and top over the simulated depths in ascending-D order breaks ties
+// as Best does. Whole depths are skipped, never single micro-batch
+// sizes, so a depth that a sweep drops because one of its sizes errors
+// is dropped here too.
+//
+// The walk is serial on purpose: which depths are simulated depends
+// only on the inputs and the cache contents, never on GOMAXPROCS or
+// goroutine timing. boundedBest also reports how many depths the
+// bound skipped.
+func boundedBest(in Inputs, g int, cache *costCache) (Choice, int, error) {
+	shapes, err := sweepShapes(in, g)
+	if err != nil {
+		return Choice{}, 0, err
+	}
+	type depth struct {
+		plan    depthPlan
+		ceil    float64
+		choice  Choice
+		reached bool // simulated without error
+	}
+	var depths []depth // in sweep order (ascending D)
+	for _, sh := range shapes {
+		dp, err := planDepth(in, sh.p, sh.d)
+		if err != nil || len(dp.micros) == 0 {
+			// evaluate fails here without simulating: a sweep drops
+			// the depth.
+			continue
+		}
+		depths = append(depths, depth{plan: dp, ceil: dp.ceiling(in, cache)})
+	}
+	order := make([]int, len(depths))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return depths[order[a]].ceil > depths[order[b]].ceil })
+	skips := 0
+	bestTP := math.Inf(-1)
+	for k, i := range order {
+		dep := &depths[i]
+		if dep.ceil < bestTP {
+			skips = len(order) - k
+			break
+		}
+		c, err := dep.plan.evaluate(in, cache)
+		if err != nil {
+			continue // does not fit at this depth, as in the sweep
+		}
+		dep.choice, dep.reached = c, true
+		bestTP = max(bestTP, c.TotalExPerSec())
+	}
+	var out []Choice
+	for _, dep := range depths {
+		if dep.reached {
+			out = append(out, dep.choice)
+		}
+	}
+	if len(out) == 0 {
+		return Choice{}, skips, errNoFit(in, g)
+	}
+	return top(out), skips, nil
 }
 
 func humanBytes(n int64) string {

@@ -1,0 +1,228 @@
+package autoconfig
+
+import (
+	"encoding/json"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/model"
+)
+
+// decided is one Best outcome in comparable form.
+type decided struct {
+	choice Choice
+	err    string
+}
+
+func decide(c Choice, err error) decided {
+	if err != nil {
+		return decided{err: err.Error()}
+	}
+	return decided{choice: c}
+}
+
+// TestPlannerBestBoundedExact: the bounded Planner.Best returns exactly
+// the stateless full-sweep Best, choice and error string alike, for
+// fleet sizes across 1..256 — cold, warm after sweeps at other sizes,
+// through pathologically small caches, and after ImportState.
+func TestPlannerBestBoundedExact(t *testing.T) {
+	var sizes []int
+	for g := 1; g <= 256; g += 17 {
+		sizes = append(sizes, g)
+	}
+	for _, mc := range []struct {
+		name string
+		spec *model.Spec
+		cuts int
+	}{{"8.3B", model.GPT2Megatron8B(), 71}, {"2.5B", model.GPT2XL2B(), 53}} {
+		t.Run(mc.name, func(t *testing.T) {
+			in := inputsFor(t, mc.spec, mc.cuts)
+			want := make(map[int]decided, len(sizes))
+			for _, g := range sizes {
+				want[g] = decide(Best(in, g))
+			}
+			check := func(how string, pl *Planner) {
+				t.Helper()
+				for _, g := range sizes {
+					if got := decide(pl.Best(g)); !reflect.DeepEqual(got, want[g]) {
+						t.Fatalf("%s G=%d: bounded Best %v %q, stateless %v %q",
+							how, g, got.choice, got.err, want[g].choice, want[g].err)
+					}
+				}
+			}
+
+			for _, g := range sizes {
+				if got := decide(NewPlanner(in).Best(g)); !reflect.DeepEqual(got, want[g]) {
+					t.Fatalf("cold G=%d: bounded Best %v %q, stateless %v %q",
+						g, got.choice, got.err, want[g].choice, want[g].err)
+				}
+			}
+
+			// Sweeps at sizes off the grid leave some candidate keys
+			// cached exactly and others to the bound.
+			warm := NewPlanner(in)
+			for _, g := range []int{64, 128, 200} {
+				if _, err := warm.Sweep(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			state, err := warm.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("warm", warm)
+			check("capped", NewPlannerCapped(in, 2, 2))
+			imported := NewPlanner(in)
+			if err := imported.ImportState(state); err != nil {
+				t.Fatal(err)
+			}
+			check("imported", imported)
+		})
+	}
+}
+
+// TestPlannerBestDeterministic: which candidates the bounded Best
+// simulates depends on the inputs alone, so the planner's counters
+// after a fixed call sequence do not move with GOMAXPROCS.
+func TestPlannerBestDeterministic(t *testing.T) {
+	in := inputsFor(t, model.GPT2Megatron8B(), 71)
+	run := func(procs int) PlannerStats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pl := NewPlanner(in)
+		for _, g := range []int{128, 96, 128, 160, 112, 96} {
+			if _, err := pl.Best(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pl.Stats()
+	}
+	one, four := run(1), run(4)
+	if one != four {
+		t.Fatalf("planner stats depend on GOMAXPROCS\n1: %+v\n4: %+v", one, four)
+	}
+	if one.Sweeps != 4 || one.DecisionHits != 2 || one.DecisionMisses != 4 {
+		t.Fatalf("each memo miss counts one sweep: %+v", one)
+	}
+}
+
+// TestPlannerBestSkipsDepths: a cold bounded Best(128) on 8.3B
+// simulates strictly fewer candidates than a cold sweep of the same
+// fleet, and accounts for the depths it skipped.
+func TestPlannerBestSkipsDepths(t *testing.T) {
+	in := inputsFor(t, model.GPT2Megatron8B(), 71)
+	swept := NewPlanner(in)
+	if _, err := swept.Sweep(128); err != nil {
+		t.Fatal(err)
+	}
+	bounded := NewPlanner(in)
+	if _, err := bounded.Best(128); err != nil {
+		t.Fatal(err)
+	}
+	s, b := swept.Stats(), bounded.Stats()
+	if b.SimAnchorRuns >= s.SimAnchorRuns {
+		t.Fatalf("bounded Best simulated %d candidates, the sweep %d", b.SimAnchorRuns, s.SimAnchorRuns)
+	}
+	if b.BoundSkips == 0 || s.BoundSkips != 0 {
+		t.Fatalf("bound skips: Best %d, Sweep %d", b.BoundSkips, s.BoundSkips)
+	}
+	// Every candidate gets its costs assembled once, simulated or not.
+	if b.CostComputes != s.CostComputes || b.CostMisses != b.SimAnchorRuns || b.Sweeps != 1 {
+		t.Fatalf("counters: Best %+v, Sweep %+v", b, s)
+	}
+	// The cache holds only simulated entries.
+	var st PlannerState
+	data, err := bounded.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(st.Costs)) != b.SimAnchorRuns {
+		t.Fatalf("%d cost entries cached, %d simulated", len(st.Costs), b.SimAnchorRuns)
+	}
+	// On the swept planner every key is cached: Best reads the exact
+	// estimates as its ceilings and rebuilds and re-simulates nothing.
+	if _, err := swept.Best(128); err != nil {
+		t.Fatal(err)
+	}
+	if w := swept.Stats(); w.CostComputes != s.CostComputes || w.SimAnchorRuns != s.SimAnchorRuns {
+		t.Fatalf("warm Best recomputed: before %+v, after %+v", s, w)
+	}
+}
+
+// TestImportStateRejectsMalformed: every hand-corrupted snapshot is
+// refused with an error naming the entry, and leaves the caches as
+// they were.
+func TestImportStateRejectsMalformed(t *testing.T) {
+	in := inputsFor(t, model.GPT2XL2B(), 53)
+	src := NewPlanner(in)
+	if _, err := src.Best(16); err != nil {
+		t.Fatal(err)
+	}
+	// A dead fleet memoizes its error under G = 0, which a snapshot
+	// must carry through.
+	if _, err := src.Best(0); err == nil {
+		t.Fatal("0 GPUs must fail")
+	}
+	data, err := src.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good PlannerState
+	if err := json.Unmarshal(data, &good); err != nil {
+		t.Fatal(err)
+	}
+	if len(good.Costs) < 2 || len(good.Decisions) != 2 || good.Decisions[0].G != 0 {
+		t.Fatalf("fixture: %d cost entries, %d decisions", len(good.Costs), len(good.Decisions))
+	}
+
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(*PlannerState)
+	}{
+		{"p", "cost entry 1", func(st *PlannerState) { st.Costs[1].P = 0 }},
+		{"m", "cost entry 1", func(st *PlannerState) { st.Costs[1].M = 0 }},
+		{"d", "cost entry 1", func(st *PlannerState) { st.Costs[1].D = -3 }},
+		{"nm", "cost entry 1", func(st *PlannerState) { st.Costs[1].Nm = 0 }},
+		{"zero est", "cost entry 1", func(st *PlannerState) { st.Costs[1].Est = 0 }},
+		{"negative est", "cost entry 1", func(st *PlannerState) { st.Costs[1].Est = -5 }},
+		{"short costs", "cost entry 1", func(st *PlannerState) { st.Costs[1].Costs = st.Costs[1].Costs[1:] }},
+		{"long costs", "cost entry 1", func(st *PlannerState) { st.Costs[1].Costs = append(st.Costs[1].Costs, st.Costs[1].Costs[0]) }},
+		{"negative g", "decision entry 1", func(st *PlannerState) { st.Decisions[1].G = -16 }},
+		{"empty fleet decided", "decision entry 0", func(st *PlannerState) { st.Decisions[0].Err = "" }},
+	} {
+		var st PlannerState
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(&st)
+		bad, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := NewPlanner(in)
+		err = pl.ImportState(bad)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: ImportState error %v, want one naming %q", c.name, err, c.want)
+		}
+		after, err := pl.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var left PlannerState
+		if err := json.Unmarshal(after, &left); err != nil {
+			t.Fatal(err)
+		}
+		if len(left.Costs) != 0 || len(left.Decisions) != 0 {
+			t.Fatalf("%s: refused import left %d cost entries and %d decisions", c.name, len(left.Costs), len(left.Decisions))
+		}
+	}
+
+	pl := NewPlanner(in)
+	if err := pl.ImportState(data); err != nil {
+		t.Fatalf("the uncorrupted snapshot must import: %v", err)
+	}
+}

@@ -50,6 +50,7 @@ type Planner struct {
 	decHits  uint64
 	decMiss  uint64
 	invalids uint64
+	skips    uint64
 	met      *obs.Metrics
 }
 
@@ -148,18 +149,27 @@ func sameCuts(a, b []model.CutPoint) bool {
 // serving repeated candidates from the lifetime cost cache. Output is
 // bit-identical to the stateless Sweep.
 func (pl *Planner) Sweep(g int) ([]Choice, error) {
+	in, cache, done := pl.startSweep()
+	defer done()
+	return sweepWorkers(in, g, runtime.GOMAXPROCS(0), cache)
+}
+
+// startSweep counts one sweep and returns the inputs and cache to run
+// it on, plus a func to call when it ends, which observes its wall time
+// when an observer is set.
+func (pl *Planner) startSweep() (Inputs, *costCache, func()) {
 	pl.mu.Lock()
 	in, cache, met := pl.in, pl.cache, pl.met
 	pl.sweeps++
 	pl.mu.Unlock()
-	if met.Enabled() {
-		start := time.Now()
-		defer func() {
-			met.Observe("wall.planner.sweep_us", float64(time.Since(start).Microseconds()))
-			met.Count("planner.sweeps", 1)
-		}()
+	if !met.Enabled() {
+		return in, cache, func() {}
 	}
-	return sweepWorkers(in, g, runtime.GOMAXPROCS(0), cache)
+	start := time.Now()
+	return in, cache, func() {
+		met.Observe("wall.planner.sweep_us", float64(time.Since(start).Microseconds()))
+		met.Count("planner.sweeps", 1)
+	}
 }
 
 // Evaluate simulates a single explicit (P, D) shape through the
@@ -174,7 +184,10 @@ func (pl *Planner) Evaluate(p, d int) (Choice, error) {
 // Best returns the highest-throughput configuration for g GPUs,
 // memoized per fleet size: the §4.6 manager quantizes fleet sizes
 // before deciding, so spot churn revisits the same g constantly and
-// replays the stored decision for free.
+// replays the stored decision for free. A memo miss counts as one
+// sweep but simulates only the depths a closed-form makespan bound
+// cannot rule out (boundedBest); the decision, error included, is
+// exactly the stateless Best's.
 func (pl *Planner) Best(g int) (Choice, error) {
 	pl.mu.Lock()
 	if dec, ok := pl.dec.Get(g); ok {
@@ -189,9 +202,12 @@ func (pl *Planner) Best(g int) (Choice, error) {
 	pl.mu.Unlock()
 	met.Count("planner.decision_misses", 1)
 
-	choice, err := best(g, pl.Sweep)
+	in, cache, done := pl.startSweep()
+	choice, skips, err := boundedBest(in, g, cache)
+	done()
 
 	pl.mu.Lock()
+	pl.skips += uint64(skips)
 	pl.dec.Put(g, plannerDecision{choice: choice, err: err})
 	pl.mu.Unlock()
 	return choice, err
@@ -212,6 +228,7 @@ func (pl *Planner) Stats() PlannerStats {
 		DecisionMisses:    pl.decMiss,
 		DecisionEvictions: pl.dec.Rotations(),
 		Invalidations:     pl.invalids,
+		BoundSkips:        pl.skips,
 	}
 }
 
@@ -220,13 +237,14 @@ func (pl *Planner) Stats() PlannerStats {
 // reconfiguration decisions cost far less than the work they
 // reschedule.
 type PlannerStats struct {
-	// Sweeps counts Sweep invocations (Best misses sweep once).
+	// Sweeps counts Sweep invocations and Best memo misses.
 	Sweeps uint64
-	// CostHits and CostMisses count candidate lookups in the
-	// (spec, p, m, d) cost cache.
+	// CostHits and CostMisses count the cost-cache lookups of
+	// candidates about to be simulated; a miss runs the simulator.
 	CostHits, CostMisses uint64
 	// CostComputes counts actual calibrate.Params.StageCosts
-	// assemblies; a second sweep of the same fleet performs zero.
+	// assemblies, including those only Best's bound needed; a second
+	// sweep of the same fleet performs zero.
 	CostComputes uint64
 	// SimAnchorRuns counts candidates whose anchor simulations ran
 	// (cache misses that reached the simulator).
@@ -240,6 +258,9 @@ type PlannerStats struct {
 	DecisionEvictions uint64
 	// Invalidations counts SetInputs calls that reset the caches.
 	Invalidations uint64
+	// BoundSkips counts the depths Best did not simulate because
+	// their throughput bound fell below a simulated depth's.
+	BoundSkips uint64
 }
 
 // HitRate is the fraction of candidate evaluations served from the

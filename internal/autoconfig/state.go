@@ -100,6 +100,8 @@ func (pl *Planner) ExportState() ([]byte, error) {
 // computation would produce, so a warmed Planner stays bit-identical
 // to a cold one — it just skips the recomputation
 // (TestPlannerStateRoundTrip pins zero cost computes after import).
+// Every entry is checked before any is stored: a snapshot with one
+// malformed entry is refused whole and leaves the caches as they were.
 func (pl *Planner) ImportState(data []byte) error {
 	var st PlannerState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -107,6 +109,9 @@ func (pl *Planner) ImportState(data []byte) error {
 	}
 	if st.Version != plannerStateVersion {
 		return fmt.Errorf("autoconfig: planner state version %d, want %d", st.Version, plannerStateVersion)
+	}
+	if err := st.validate(); err != nil {
+		return err
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -135,6 +140,28 @@ func (pl *Planner) ImportState(data []byte) error {
 			dec.err = errors.New(ds.Err)
 		}
 		pl.dec.Put(ds.G, dec)
+	}
+	return nil
+}
+
+// validate rejects entries no planner can have produced. The snapshot
+// is read from disk, and a malformed cost entry (a bad shape, Nm < 1, a
+// non-positive estimate, or a cost slice that does not match P) would
+// otherwise fail its depth in the simulator later, which a sweep takes
+// for "does not fit" — silently changing the decision. A decision is
+// for G ≥ 0 GPUs: a dead fleet memoizes its "no GPUs" error under
+// G = 0, and that is the only thing an empty fleet can decide.
+func (st *PlannerState) validate() error {
+	for i, cs := range st.Costs {
+		if cs.P < 1 || cs.M < 1 || cs.D < 1 || cs.Nm < 1 || cs.Est <= 0 || len(cs.Costs) != cs.P {
+			return fmt.Errorf("autoconfig: planner state cost entry %d (p=%d m=%d d=%d) is malformed: nm=%d, est %v, %d stage costs",
+				i, cs.P, cs.M, cs.D, cs.Nm, cs.Est, len(cs.Costs))
+		}
+	}
+	for i, ds := range st.Decisions {
+		if ds.G < 0 || (ds.G == 0 && ds.Err == "") {
+			return fmt.Errorf("autoconfig: planner state decision entry %d is malformed: %d GPUs, error %q", i, ds.G, ds.Err)
+		}
 	}
 	return nil
 }

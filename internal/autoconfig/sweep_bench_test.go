@@ -47,6 +47,21 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkPlannerBestCold measures the same decision through a fresh
+// Planner's Best: the serial branch-and-bound simulates only the depths
+// the makespan bound cannot rule out, to be read against
+// BenchmarkSweepParallel.
+func BenchmarkPlannerBestCold(b *testing.B) {
+	in := benchInputs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPlanner(in).Best(128); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSweepSerial is the one-worker reference, isolating the
 // multicore speedup from the single-simulation fast path.
 func BenchmarkSweepSerial(b *testing.B) {

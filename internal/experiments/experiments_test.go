@@ -229,6 +229,12 @@ func TestPlannerCaching(t *testing.T) {
 	if !strings.Contains(strings.Join(tb.Notes, "\n"), "bit-identical to first: true") {
 		t.Fatalf("cached sweep not bit-identical:\n%v", tb.Notes)
 	}
+	// The cold bounded Best (whose pick the experiment checks against
+	// the sweep's argmax) must skip depths and simulate fewer
+	// candidates than the cold sweep.
+	if cell(t, tb.Rows[2][5]) == 0 || cell(t, tb.Rows[2][4]) >= cell(t, tb.Rows[0][4]) {
+		t.Fatalf("bounded Best skipped nothing: %v vs %v", tb.Rows[2], tb.Rows[0])
+	}
 	// Wall-clock acceptance: the cached sweep must be at least 2x
 	// faster (in practice it is orders of magnitude; 2x keeps the
 	// assertion robust on loaded CI machines).

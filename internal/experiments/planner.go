@@ -16,7 +16,10 @@ import (
 // the work it reschedules. Two consecutive G=128 sweeps of the 8.3B
 // model run through one Planner — the second is served from the
 // lifetime (spec, p, m, d) cost cache and must be both much faster and
-// bit-identical to the first.
+// bit-identical to the first. A third row decides G=128 with a cold
+// Planner.Best on a fresh Planner: the branch-and-bound skips the depths
+// its makespan bound rules out, and must still pick the cold sweep's
+// argmax.
 func PlannerCaching(x *Ctx) (*Table, error) {
 	spec := model.GPT2Megatron8B()
 	cluster := hw.SpotCluster(hw.NC6v3, 300)
@@ -44,16 +47,32 @@ func PlannerCaching(x *Ctx) (*Table, error) {
 	warmMS := float64(time.Since(start).Microseconds()) / 1000
 	s := pl.Stats()
 
+	bounded := autoconfig.NewPlanner(job.Inputs())
+	start = time.Now()
+	pick, err := bounded.Best(128)
+	if err != nil {
+		return nil, err
+	}
+	bestMS := float64(time.Since(start).Microseconds()) / 1000
+	b := bounded.Stats()
+
 	identical := reflect.DeepEqual(first, second)
 	recomputes := s.CostComputes - afterCold.CostComputes
 	reruns := s.SimAnchorRuns - afterCold.SimAnchorRuns
+	argmax := first[0]
+	for _, c := range first[1:] {
+		if c.TotalExPerSec() > argmax.TotalExPerSec() {
+			argmax = c
+		}
+	}
 
 	t := &Table{
-		Title:  "Planner: cross-sweep cost caching, 8.3B sweep at G=128",
-		Header: []string{"Sweep", "Wall ms", "Candidates", "StageCosts builds", "Anchor sims"},
+		Title:  "Planner: cross-sweep cost caching and bounded Best, 8.3B at G=128",
+		Header: []string{"Call", "Wall ms", "Candidates", "StageCosts builds", "Anchor sims", "Bound skips"},
 	}
-	t.Add("1 (cold)", f1(coldMS), fmt.Sprint(len(first)), fmt.Sprint(afterCold.CostComputes), fmt.Sprint(afterCold.SimAnchorRuns))
-	t.Add("2 (cached)", f1(warmMS), fmt.Sprint(len(second)), fmt.Sprint(recomputes), fmt.Sprint(reruns))
+	t.Add("Sweep 1 (cold)", f1(coldMS), fmt.Sprint(len(first)), fmt.Sprint(afterCold.CostComputes), fmt.Sprint(afterCold.SimAnchorRuns), "0")
+	t.Add("Sweep 2 (cached)", f1(warmMS), fmt.Sprint(len(second)), fmt.Sprint(recomputes), fmt.Sprint(reruns), "0")
+	t.Add("Best (cold, bounded)", f1(bestMS), "1", fmt.Sprint(b.CostComputes), fmt.Sprint(b.SimAnchorRuns), fmt.Sprint(b.BoundSkips))
 	speedup := 0.0
 	if warmMS > 0 {
 		speedup = coldMS / warmMS
@@ -62,7 +81,12 @@ func PlannerCaching(x *Ctx) (*Table, error) {
 		fmt.Sprintf("second sweep bit-identical to first: %v", identical),
 		fmt.Sprintf("second sweep %.0fx faster; cost cache hit rate %.0f%% (%d hits, %d misses)",
 			speedup, 100*s.HitRate(), s.CostHits, s.CostMisses),
-		"the §4.6 manager keeps one Planner per job, so every morph after the first at a given fleet size pays neither partition costs nor anchor simulations")
+		"the §4.6 manager keeps one Planner per job, so every morph after the first at a given fleet size pays neither partition costs nor anchor simulations",
+		fmt.Sprintf("bounded Best simulated %d of the cold sweep's %d candidates, skipping %d depths whose makespan bound rules them out; its pick %v equals the sweep's argmax: %v",
+			b.SimAnchorRuns, afterCold.SimAnchorRuns, b.BoundSkips, pick, reflect.DeepEqual(pick, argmax)))
+	if !reflect.DeepEqual(pick, argmax) {
+		return t, fmt.Errorf("planner: bounded Best picked %v, the cold sweep's argmax is %v", pick, argmax)
+	}
 	if !identical {
 		return t, fmt.Errorf("planner: cached sweep diverged from cold sweep")
 	}

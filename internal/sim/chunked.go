@@ -165,6 +165,70 @@ func estimateMakespan(cfg Config, parallel bool) (simtime.Duration, error) {
 	return r2.Makespan + simtime.Duration(perMicro*float64(cfg.Micros-anchor)+0.5), nil
 }
 
+// MakespanLowerBound returns a closed-form value that is never above
+// the makespan Run reports for cfg, or 0 when it offers no bound. It
+// costs O(P) arithmetic and no simulation, which lets a sweep rule out
+// pipeline depths without simulating them.
+//
+// The bound holds for deterministic rule-policy configs: no jitter, no
+// speed factors, no SyncComm and no negative costs, so every task takes
+// exactly its mean time and no receive is charged to the stage. Then:
+//
+//   - Stage s cannot start any task before fill_s, the instant its
+//     first activation can arrive: fill_0 = 0 and fill_s = fill_{s−1} +
+//     Fwd_{s−1} + ActSend_{s−1}. From there it runs Nm forwards and Nm
+//     backwards one at a time, so its last backward ends no earlier
+//     than fill_s + Nm·(Fwd_s+Bwd_s).
+//   - The backward that ends last on stage s+1 sends a gradient that
+//     stage s must receive and backward, so stage s ends no earlier
+//     than that plus GradSend_{s+1} + Bwd_s. Taking the larger of the
+//     two from the last stage upwards gives L_s ≤ the stage's last
+//     backward.
+//   - Each stage then pays its allreduce (not under NoFlush) and its
+//     optimizer step; the makespan is the latest of those ends.
+//
+// Recomputes are left out: a stage whose micro-batch is still hot
+// skips them. Jittered, slowed, SyncComm and strict-order configs
+// return 0 (TestMakespanLowerBoundProperty pins the claim on random
+// configs, with and without the steady-state fast path).
+func MakespanLowerBound(cfg Config) simtime.Duration {
+	p := cfg.Depth
+	if !cfg.Policy.Rule || cfg.Policy.SyncComm || cfg.JitterCV != 0 || cfg.ComputeJitterCV != 0 ||
+		cfg.SpeedFactor != nil || p < 1 || cfg.Micros < 1 || len(cfg.Costs) != p {
+		return 0
+	}
+	// fill ends up as fill_{P−1}; the backward walk below peels it back
+	// one stage at a time, so no per-stage slice is needed.
+	var fill simtime.Duration
+	for s, c := range cfg.Costs {
+		if c.Fwd < 0 || c.Bwd < 0 || c.ActSend < 0 || c.GradSend < 0 || c.AllReduce < 0 || c.Optimizer < 0 {
+			return 0
+		}
+		if s < p-1 {
+			fill += c.Fwd + c.ActSend
+		}
+	}
+	nm := simtime.Duration(cfg.Micros)
+	var bound, last simtime.Duration
+	for s := p - 1; s >= 0; s-- {
+		c := cfg.Costs[s]
+		l := fill + nm*(c.Fwd+c.Bwd)
+		if s < p-1 {
+			l = max(l, last+cfg.Costs[s+1].GradSend+c.Bwd)
+		}
+		tail := c.Optimizer
+		if !cfg.Policy.NoFlush {
+			tail += c.AllReduce
+		}
+		bound = max(bound, l+tail)
+		last = l
+		if s > 0 {
+			fill -= cfg.Costs[s-1].Fwd + cfg.Costs[s-1].ActSend
+		}
+	}
+	return bound
+}
+
 // GPipeChunk picks the memory-feasible chunk size for GPipe on a device
 // with stashBudget bytes available for input-activation stash, given
 // the per-micro-batch stash size. It never goes below the pipeline
