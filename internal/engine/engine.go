@@ -22,6 +22,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/nn"
 	"repro/internal/trace"
@@ -36,7 +37,9 @@ const (
 	Sync Mode = iota
 	// StalePerMicro applies each stage's update immediately after
 	// every micro-batch backward, giving PipeDream-style weight
-	// staleness and forward/backward version mismatch.
+	// staleness and forward/backward version mismatch. Every
+	// non-final stage runs all of a mini-batch's forwards before its
+	// backwards, so the staleness, and the run, is deterministic.
 	StalePerMicro
 	// TwoBW models PipeDream-2BW: gradients accumulate over the
 	// mini-batch as in sync-SGD, but each update applies one
@@ -171,20 +174,26 @@ func (e *Engine) Step() float64 {
 	perReplica := e.cfg.BatchSize / e.cfg.D
 	nm := perReplica / e.cfg.MicroBatch
 
-	lossCh := make(chan float64, e.cfg.D)
+	losses := make([]float64, e.cfg.D)
+	var wg sync.WaitGroup
 	for r := 0; r < e.cfg.D; r++ {
 		r := r
 		lo := r * perReplica
+		wg.Add(1)
 		go func() {
-			lossCh <- e.runPipeline(e.replicas[r],
+			defer wg.Done()
+			losses[r] = e.runPipeline(e.replicas[r],
 				sliceRows(inputs, lo, perReplica),
 				sliceRows(targets, lo, perReplica),
 				nm)
 		}()
 	}
+	wg.Wait()
+	// Sum in replica order, not finishing order, so the reported loss
+	// does not depend on goroutine timing.
 	var lossSum float64
-	for r := 0; r < e.cfg.D; r++ {
-		lossSum += <-lossCh
+	for _, l := range losses {
+		lossSum += l
 	}
 
 	switch e.cfg.Mode {

@@ -12,6 +12,11 @@ func tinyGPT() nn.GPTConfig {
 	return nn.GPTConfig{Vocab: 16, Dim: 16, SeqLen: 8, Layers: 4, MLPMult: 2, Seed: 123}
 }
 
+// charGPT is the Figure 9/10 model.
+func charGPT() nn.GPTConfig {
+	return nn.GPTConfig{Vocab: 24, Dim: 24, SeqLen: 12, Layers: 4, MLPMult: 2, Seed: 99}
+}
+
 func cfgFor(p, d, m, batch int) Config {
 	return Config{GPT: tinyGPT(), P: p, D: d, MicroBatch: m, BatchSize: batch, LR: 3e-3, DataSeed: 7}
 }
@@ -226,6 +231,33 @@ func TestStaleUpdatesHurt(t *testing.T) {
 	}
 }
 
+func TestStaleDeterministic(t *testing.T) {
+	// Per-micro updates make a forward's weights depend on the stage
+	// schedule; the fixed stale schedule makes two runs agree to the
+	// bit, losses and parameters alike. TestStaleUpdatesHurt's config
+	// and a shortened Figure 10 stale run.
+	for n, cfg := range []Config{
+		{GPT: tinyGPT(), P: 4, D: 1, MicroBatch: 2, BatchSize: 32, LR: 3e-2, DataSeed: 7, Mode: StalePerMicro},
+		{GPT: charGPT(), P: 4, D: 1, MicroBatch: 4, BatchSize: 64, LR: 3e-2, DataSeed: 33, Mode: StalePerMicro},
+	} {
+		a, b := mustEngine(t, cfg), mustEngine(t, cfg)
+		la, lb := a.Losses(12), b.Losses(12)
+		for i := range la {
+			if math.Float64bits(la[i]) != math.Float64bits(lb[i]) {
+				t.Fatalf("config %d: loss[%d] %.17g vs %.17g", n, i, la[i], lb[i])
+			}
+		}
+		fa, fb := a.Fingerprint(), b.Fingerprint()
+		for k, va := range fa {
+			for i, v := range va {
+				if math.Float64bits(v) != math.Float64bits(fb[k][i]) {
+					t.Fatalf("config %d: param %s[%d] differs between identical runs", n, k, i)
+				}
+			}
+		}
+	}
+}
+
 func TestLargeBatchEquivalence(t *testing.T) {
 	// The Figure 9 substitution: 4× batch with 4× fewer iterations
 	// (same examples) reaches a comparable held-out loss to the small
@@ -262,13 +294,17 @@ func TestEvalDoesNotPerturbTraining(t *testing.T) {
 }
 
 func TestDeterminismSameConfig(t *testing.T) {
-	a := mustEngine(t, cfgFor(3, 2, 4, 16))
-	b := mustEngine(t, cfgFor(3, 2, 4, 16))
-	la := a.Losses(4)
-	lb := b.Losses(4)
-	for i := range la {
-		if la[i] != lb[i] {
-			t.Fatalf("identical configs must train identically: %.15f vs %.15f", la[i], lb[i])
+	// D=3: the replicas' losses must be summed in a fixed order, since
+	// float addition of three terms depends on it.
+	for _, cfg := range []Config{cfgFor(3, 2, 4, 16), cfgFor(2, 3, 2, 24)} {
+		a := mustEngine(t, cfg)
+		b := mustEngine(t, cfg)
+		la := a.Losses(4)
+		lb := b.Losses(4)
+		for i := range la {
+			if math.Float64bits(la[i]) != math.Float64bits(lb[i]) {
+				t.Fatalf("P=%d D=%d: identical configs must train identically: %.17g vs %.17g", cfg.P, cfg.D, la[i], lb[i])
+			}
 		}
 	}
 }

@@ -26,7 +26,8 @@ type bwdMsg struct {
 // forward from the stash (§3.1). The final stage backwards each
 // micro-batch straight after its forward, so it never recomputes
 // (§3.2). Backwards are preferred over forwards whenever both are
-// pending (rule 3), which also bounds the stash.
+// pending (rule 3), which also bounds the stash. StalePerMicro is the
+// exception; see runMidStage.
 func (e *Engine) runPipeline(stages []*stage, inputs, targets *nn.Matrix, nm int) float64 {
 	p := len(stages)
 	m := e.cfg.MicroBatch
@@ -69,8 +70,27 @@ func (e *Engine) runPipeline(stages []*stage, inputs, targets *nn.Matrix, nm int
 
 // runMidStage executes a non-final stage: forward with checkpointing,
 // recompute-then-backward, backward-first scheduling.
+//
+// Under StalePerMicro every backward updates the stage's weights, so
+// which weights a forward reads depends on how many backwards ran
+// before it. Backward-first would leave that to goroutine timing, so
+// there the stage runs a fixed order instead: all nm forwards, then
+// all nm backwards — the most staleness backward-first can reach.
 func (e *Engine) runMidStage(st *stage, actIn, actOut chan fwdMsg, gradOut, gradIn chan bwdMsg, nm int) {
 	stash := make(map[int]*nn.Matrix)
+	forward := func(f fwdMsg) {
+		stash[f.micro] = f.x
+		actOut <- fwdMsg{micro: f.micro, x: stageForward(st, f.x)}
+	}
+	if e.cfg.Mode == StalePerMicro {
+		for k := 0; k < nm; k++ {
+			forward(<-actIn)
+		}
+		for k := 0; k < nm; k++ {
+			e.stageBackward(st, stash, <-gradIn, gradOut)
+		}
+		return
+	}
 	fwdDone, bwdDone := 0, 0
 	for bwdDone < nm {
 		// Rule 3: drain ready backwards first.
@@ -87,9 +107,7 @@ func (e *Engine) runMidStage(st *stage, actIn, actOut chan fwdMsg, gradOut, grad
 				e.stageBackward(st, stash, g, gradOut)
 				bwdDone++
 			case f := <-actIn:
-				stash[f.micro] = f.x
-				y := stageForward(st, f.x, false)
-				actOut <- fwdMsg{micro: f.micro, x: y}
+				forward(f)
 				fwdDone++
 			}
 		} else {
@@ -153,9 +171,9 @@ func (e *Engine) stageBackward(st *stage, stash map[int]*nn.Matrix, g bwdMsg, gr
 	}
 }
 
-// stageForward runs the stage's layers, keeping contexts only when
-// keepCtx is set (unused for checkpointed stages).
-func stageForward(st *stage, x *nn.Matrix, keepCtx bool) *nn.Matrix {
+// stageForward runs the stage's layers and drops their contexts: a
+// checkpointed stage recomputes them before its backward.
+func stageForward(st *stage, x *nn.Matrix) *nn.Matrix {
 	h := x
 	for _, l := range st.layers {
 		h, _ = l.Forward(h)

@@ -130,10 +130,22 @@ func TestFig10TwoBW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncFinal := cell(t, tb.Rows[0][1])
-	staleFinal := cell(t, tb.Rows[1][1])
-	if !(staleFinal != staleFinal /* NaN */ || staleFinal > syncFinal*1.5) {
-		t.Fatalf("stale updates should degrade: sync %v stale %v", syncFinal, staleFinal)
+	final := func(label string) float64 {
+		t.Helper()
+		for _, row := range tb.Rows {
+			if strings.HasPrefix(row[0], label) {
+				return cell(t, row[1])
+			}
+		}
+		t.Fatalf("no %q row in %v", label, tb.Rows)
+		return 0
+	}
+	syncFinal := final("synchronous")
+	for _, label := range []string{"2BW delayed", "stale per-micro"} {
+		staleFinal := final(label)
+		if !(staleFinal != staleFinal /* NaN */ || staleFinal > syncFinal*1.5) {
+			t.Errorf("%s updates should degrade: sync %v, stale %v", label, syncFinal, staleFinal)
+		}
 	}
 }
 

@@ -147,6 +147,8 @@ func Fig10TwoBW(x *Ctx) (*Table, error) {
 	hi := syncLoss[0] * 2
 	t.Figure = lossCurve("sync", syncLoss, 0, hi) + lossCurve("2BW", twoBWLoss, 0, hi) + lossCurve("stale", staleLoss, 0, hi)
 	t.Notes = append(t.Notes,
+		"stale schedule: each non-final stage runs a mini-batch's forwards before its backwards, the most staleness a backward-first pipeline reaches, so the run is deterministic",
+		"a 1F1B stale schedule (P-s micro-batches in flight at stage s) trained better than sync instead: mean loss over steps 26-30 of 0.74 vs 1.27 in the engine's stale-updates test",
 		"paper: PipeDream-2BW's 355M GPT-2 diverged after 16k iterations; sync training did not")
 	return t, nil
 }

@@ -1,0 +1,194 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// The Block context contract: a context is valid until the Block's
+// next Forward, outputs belong to the caller, and the workspace is
+// sized to the call.
+
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %v, want it to mention %q", r, want)
+		}
+	}()
+	f()
+}
+
+func TestBlockStaleCtxPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	b := NewBlock("blk7", 8, 4, 2, rng)
+	x := randMatrix(rng, 8, 8)
+	_, ctx1 := b.Forward(x)
+	_, ctx2 := b.Forward(x)
+	dy := randMatrix(rng, 8, 8)
+	mustPanic(t, "blk7", func() { b.Backward(ctx1, dy) })
+	b.Backward(ctx2, dy) // the latest context is live
+
+	// A Forward into a workspace of its own makes a context stale too,
+	// and so does the next Forward after it.
+	_, ctx3 := b.Forward(x)
+	_, big := b.Forward(randMatrix(rng, 12, 8))
+	mustPanic(t, "stale", func() { b.Backward(ctx3, dy) })
+	b.Forward(x)
+	mustPanic(t, "stale", func() { b.Backward(big, randMatrix(rng, 12, 8)) })
+
+	// So is another Block's context.
+	other := NewBlock("other", 8, 4, 2, rng)
+	_, ctx4 := other.Forward(x)
+	b.Forward(x)
+	mustPanic(t, "blk7", func() { b.Backward(ctx4, dy) })
+}
+
+func TestBlockOutputOwnedByCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	b := NewBlock("blk", 8, 4, 2, rng)
+	x1, x2 := randMatrix(rng, 8, 8), randMatrix(rng, 8, 8)
+	y1, _ := b.Forward(x1)
+	keep := y1.Clone()
+	y2, ctx := b.Forward(x2)
+	dx := b.Backward(ctx, randMatrix(rng, 8, 8))
+	b.Forward(x1)
+	for i := range keep.Data {
+		if math.Float64bits(y1.Data[i]) != math.Float64bits(keep.Data[i]) {
+			t.Fatal("a later Forward changed an earlier Forward's output")
+		}
+	}
+	if &y1.Data[0] == &y2.Data[0] || &dx.Data[0] == &y2.Data[0] {
+		t.Fatal("outputs must not share storage")
+	}
+}
+
+func TestBlockWorkspaceSizedToCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	small, big := randMatrix(rng, 8, 8), randMatrix(rng, 64, 8)
+	dy := randMatrix(rng, 8, 8)
+	wantSmall := func(b *Block, when string) {
+		t.Helper()
+		w := b.work
+		if w.rows != 8 || cap(w.h.Data) != 8*16 || cap(w.q.Data) != 8*8 || cap(w.probs) != 8*4 {
+			t.Fatalf("%s: the kept workspace has %d rows, cap(h) %d", when, w.rows, cap(w.h.Data))
+		}
+	}
+
+	// An evaluation-sized call between training calls never becomes
+	// resident, and its context is usable until the next Forward.
+	b := NewBlock("blk", 8, 4, 2, rng)
+	b.Forward(small)
+	_, bigCtx := b.Forward(big)
+	wantSmall(b, "after a 64-row call")
+	b.Backward(bigCtx, randMatrix(rng, 64, 8))
+	_, ctx := b.Forward(small)
+	wantSmall(b, "after the next 8-row call")
+	b.Backward(ctx, dy)
+
+	// A Block whose first call is evaluation-sized drops that
+	// workspace at the first training-shape call.
+	b = NewBlock("blk", 8, 4, 2, rng)
+	b.Forward(big)
+	_, ctx = b.Forward(small)
+	wantSmall(b, "after a 64-row first call")
+	b.Backward(ctx, dy)
+}
+
+// TestBlockReuseBitIdentical runs one Forward+Backward on a Block
+// whose workspace and the shared scratch hold another input's values,
+// and the same on a fresh Block: outputs, input gradients and
+// parameter gradients agree to the bit.
+func TestBlockReuseBitIdentical(t *testing.T) {
+	mk := func() *Block { return NewBlock("blk", 8, 4, 2, rand.New(rand.NewSource(34))) }
+	rng := rand.New(rand.NewSource(35))
+	x, dy := randMatrix(rng, 8, 8), randMatrix(rng, 8, 8)
+
+	used := mk()
+	_, ctx := used.Forward(randMatrix(rng, 8, 8))
+	used.Backward(ctx, randMatrix(rng, 8, 8))
+	for _, p := range used.Params() {
+		p.ZeroGrad()
+	}
+	fresh := mk()
+
+	results := func(b *Block) []float64 {
+		y, ctx := b.Forward(x)
+		dx := b.Backward(ctx, dy)
+		out := append(append([]float64(nil), y.Data...), dx.Data...)
+		for _, p := range b.Params() {
+			out = append(out, p.Grad...)
+		}
+		return out
+	}
+	got, want := results(used), results(fresh)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("value %d: reused Block %v, fresh Block %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestBlocksShareScratchConcurrently runs Blocks of different row
+// counts from several goroutines at once, all drawing Backward
+// temporaries from the shared pool, and checks each against the same
+// run made alone.
+func TestBlocksShareScratchConcurrently(t *testing.T) {
+	const workers = 4
+	run := func(rows int) []float64 {
+		b := NewBlock("blk", 8, 4, 2, rand.New(rand.NewSource(37)))
+		rng := rand.New(rand.NewSource(int64(rows)))
+		var out []float64
+		for step := 0; step < 3; step++ {
+			_, ctx := b.Forward(randMatrix(rng, rows, 8))
+			out = append(out, b.Backward(ctx, randMatrix(rng, rows, 8)).Data...)
+		}
+		for _, p := range b.Params() {
+			out = append(out, p.Grad...)
+		}
+		return out
+	}
+	want := make([][]float64, workers)
+	for i := range want {
+		want[i] = run(4 * (i + 1))
+	}
+	got := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(4 * (i + 1))
+		}()
+	}
+	wg.Wait()
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("worker %d value %d: %v concurrently, %v alone", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// BenchmarkBlockStep is one Block's Forward and Backward at the
+// benchmark's training shape: micro-batch 8 × seq 12 rows, Dim 24,
+// MLP 2×.
+func BenchmarkBlockStep(bm *testing.B) {
+	rng := rand.New(rand.NewSource(36))
+	b := NewBlock("blk", 24, 12, 2, rng)
+	x, dy := randMatrix(rng, 96, 24), randMatrix(rng, 96, 24)
+	bm.ReportAllocs()
+	for i := 0; i < bm.N; i++ {
+		_, ctx := b.Forward(x)
+		b.Backward(ctx, dy)
+	}
+}

@@ -13,6 +13,14 @@ import (
 // drop it after forward (gradient checkpointing) and regenerate it by
 // re-running forward from the stashed input — exactly Varuna's
 // recompute (§3.1).
+//
+// The output of Forward and the input gradient of Backward are freshly
+// allocated and belong to the caller. A context may refer to the
+// layer's own buffers: a Block keeps its forward intermediates in a
+// workspace that later Forwards overwrite, so a Block's context is
+// valid only until that Block's next Forward, and Backward panics on a
+// context a later Forward has invalidated. Backward reads the input
+// Forward was given, so that must not change in between either.
 type Layer interface {
 	// Forward computes the layer output for x.
 	Forward(x *Matrix) (*Matrix, Ctx)
@@ -61,36 +69,56 @@ type linearCtx struct{ x *Matrix }
 
 // Forward implements Layer.
 func (l *Linear) Forward(x *Matrix) (*Matrix, Ctx) {
-	w := &Matrix{Rows: l.In, Cols: l.Out, Data: l.W.Value}
-	y := MatMul(x, w)
-	if l.B != nil {
-		for i := 0; i < y.Rows; i++ {
-			row := y.Row(i)
-			for j := range row {
-				row[j] += l.B.Value[j]
-			}
-		}
-	}
+	y := NewMatrix(x.Rows, l.Out)
+	l.forwardInto(y, x)
 	return y, linearCtx{x: x}
 }
 
 // Backward implements Layer.
 func (l *Linear) Backward(ctx Ctx, dy *Matrix) *Matrix {
 	c := ctx.(linearCtx)
-	dW := MatMulATB(c.x, dy)
-	for i, v := range dW.Data {
-		l.W.Grad[i] += v
-	}
+	dx := NewMatrix(dy.Rows, l.In)
+	s := getScratch()
+	l.backwardInto(dx, c.x, dy, s)
+	putScratch(s)
+	return dx
+}
+
+// weight views W as an In×Out matrix.
+func (l *Linear) weight() *Matrix { return &Matrix{Rows: l.In, Cols: l.Out, Data: l.W.Value} }
+
+// forwardInto writes x·W + b into y.
+func (l *Linear) forwardInto(y, x *Matrix) {
+	matMulInto(y, x, l.weight())
 	if l.B != nil {
-		for i := 0; i < dy.Rows; i++ {
-			row := dy.Row(i)
-			for j := range row {
-				l.B.Grad[j] += row[j]
+		bias := l.B.Value[:y.Cols]
+		for i := 0; i < y.Rows; i++ {
+			row := y.Row(i)
+			for j, b := range bias {
+				row[j] += b
 			}
 		}
 	}
-	w := &Matrix{Rows: l.In, Cols: l.Out, Data: l.W.Value}
-	return MatMulABT(dy, w)
+}
+
+// backwardInto accumulates the parameter gradients for input x and
+// output gradient dy, and writes the input gradient into dx.
+func (l *Linear) backwardInto(dx, x, dy *Matrix, s *scratch) {
+	dW := s.dW.shape(l.In, l.Out)
+	matMulATBInto(dW, x, dy)
+	grad := l.W.Grad[:len(dW.Data)]
+	for i, v := range dW.Data {
+		grad[i] += v
+	}
+	if l.B != nil {
+		grad := l.B.Grad[:dy.Cols]
+		for i := 0; i < dy.Rows; i++ {
+			for j, v := range dy.Row(i) {
+				grad[j] += v
+			}
+		}
+	}
+	matMulABTInto(dx, dy, l.weight())
 }
 
 // Params implements Layer.
@@ -119,9 +147,7 @@ const geluC = 0.7978845608028654 // sqrt(2/pi)
 // Forward implements Layer.
 func (g *Gelu) Forward(x *Matrix) (*Matrix, Ctx) {
 	y := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		y.Data[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v)))
-	}
+	g.forwardInto(y, x)
 	return y, geluCtx{x: x}
 }
 
@@ -129,14 +155,29 @@ func (g *Gelu) Forward(x *Matrix) (*Matrix, Ctx) {
 func (g *Gelu) Backward(ctx Ctx, dy *Matrix) *Matrix {
 	c := ctx.(geluCtx)
 	dx := NewMatrix(dy.Rows, dy.Cols)
-	for i, v := range c.x.Data {
+	g.backwardInto(dx, c.x, dy)
+	return dx
+}
+
+// forwardInto writes GELU(x) into y.
+func (g *Gelu) forwardInto(y, x *Matrix) {
+	yd := y.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		yd[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v)))
+	}
+}
+
+// backwardInto writes the input gradient for input x and output
+// gradient dy into dx, which may be dy itself.
+func (g *Gelu) backwardInto(dx, x, dy *Matrix) {
+	dyd, dxd := dy.Data[:len(x.Data)], dx.Data[:len(x.Data)]
+	for i, v := range x.Data {
 		u := geluC * (v + 0.044715*v*v*v)
 		t := math.Tanh(u)
 		du := geluC * (1 + 3*0.044715*v*v)
 		d := 0.5*(1+t) + 0.5*v*(1-t*t)*du
-		dx.Data[i] = dy.Data[i] * d
+		dxd[i] = dyd[i] * d
 	}
-	return dx
 }
 
 // Params implements Layer.
@@ -174,8 +215,25 @@ const lnEps = 1e-5
 // Forward implements Layer.
 func (l *LayerNorm) Forward(x *Matrix) (*Matrix, Ctx) {
 	y := NewMatrix(x.Rows, x.Cols)
-	xhat := NewMatrix(x.Rows, x.Cols)
-	invS := make([]float64, x.Rows)
+	c := lnCtx{xhat: NewMatrix(x.Rows, x.Cols), invS: make([]float64, x.Rows)}
+	l.forwardInto(y, c.xhat, c.invS, x)
+	return y, c
+}
+
+// Backward implements Layer.
+func (l *LayerNorm) Backward(ctx Ctx, dy *Matrix) *Matrix {
+	c := ctx.(lnCtx)
+	dx := NewMatrix(dy.Rows, dy.Cols)
+	s := getScratch()
+	l.backwardInto(dx, c.xhat, c.invS, dy, s)
+	putScratch(s)
+	return dx
+}
+
+// forwardInto normalizes x into y, keeping the normalized rows in xhat
+// and each row's inverse standard deviation in invS for the backward.
+func (l *LayerNorm) forwardInto(y, xhat *Matrix, invS []float64, x *Matrix) {
+	g, b := l.G.Value[:x.Cols], l.B.Value[:x.Cols]
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		var mean float64
@@ -191,39 +249,40 @@ func (l *LayerNorm) Forward(x *Matrix) (*Matrix, Ctx) {
 		varr /= float64(len(row))
 		inv := 1 / math.Sqrt(varr+lnEps)
 		invS[i] = inv
-		xr := xhat.Row(i)
-		yr := y.Row(i)
+		xr := xhat.Row(i)[:len(row)]
+		yr := y.Row(i)[:len(row)]
 		for j, v := range row {
 			xr[j] = (v - mean) * inv
-			yr[j] = xr[j]*l.G.Value[j] + l.B.Value[j]
+			yr[j] = xr[j]*g[j] + b[j]
 		}
 	}
-	return y, lnCtx{xhat: xhat, invS: invS}
 }
 
-// Backward implements Layer.
-func (l *LayerNorm) Backward(ctx Ctx, dy *Matrix) *Matrix {
-	c := ctx.(lnCtx)
-	dx := NewMatrix(dy.Rows, dy.Cols)
+// backwardInto accumulates the gain and bias gradients for output
+// gradient dy and writes the input gradient into dx, which may be dy
+// itself.
+func (l *LayerNorm) backwardInto(dx, xhat *Matrix, invS []float64, dy *Matrix, s *scratch) {
 	n := float64(l.Dim)
+	dxh := s.row.shape(1, l.Dim).Data
+	g := l.G.Value[:l.Dim]
+	gGrad, bGrad := l.G.Grad[:l.Dim], l.B.Grad[:l.Dim]
 	for i := 0; i < dy.Rows; i++ {
-		dyr := dy.Row(i)
-		xr := c.xhat.Row(i)
+		dyr := dy.Row(i)[:l.Dim]
+		xr := xhat.Row(i)[:l.Dim]
 		var sumDxh, sumDxhX float64
-		dxh := make([]float64, l.Dim)
 		for j := range dyr {
-			l.G.Grad[j] += dyr[j] * xr[j]
-			l.B.Grad[j] += dyr[j]
-			dxh[j] = dyr[j] * l.G.Value[j]
+			gGrad[j] += dyr[j] * xr[j]
+			bGrad[j] += dyr[j]
+			dxh[j] = dyr[j] * g[j]
 			sumDxh += dxh[j]
 			sumDxhX += dxh[j] * xr[j]
 		}
-		dxr := dx.Row(i)
-		for j := range dyr {
-			dxr[j] = (dxh[j] - sumDxh/n - xr[j]*sumDxhX/n) * c.invS[i]
+		// dyr is spent: dxr may alias it.
+		dxr := dx.Row(i)[:l.Dim]
+		for j := range dxr {
+			dxr[j] = (dxh[j] - sumDxh/n - xr[j]*sumDxhX/n) * invS[i]
 		}
 	}
-	return dx
 }
 
 // Params implements Layer.

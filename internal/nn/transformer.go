@@ -4,11 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
 // Block is one pre-norm transformer block: single-head causal
 // self-attention and a GELU MLP, each with a residual connection. It
 // is the repeated unit the cut-point machinery partitions (§5.1).
+//
+// A Block keeps its forward intermediates in a workspace that later
+// Forwards overwrite: a context is valid until the Block's next Forward
+// (see Layer).
 type Block struct {
 	name   string
 	Dim    int
@@ -18,6 +23,9 @@ type Block struct {
 	wq, wk, wv, wo *Linear
 	fc1, fc2       *Linear
 	gelu           *Gelu
+
+	work *blockWork // the kept workspace; nil before the first Forward
+	gen  uint64     // the latest Forward's generation
 }
 
 // NewBlock builds a transformer block of width dim over seqLen tokens.
@@ -36,157 +44,210 @@ func NewBlock(name string, dim, seqLen, mlpMult int, rng *rand.Rand) *Block {
 	}
 }
 
-type blockCtx struct {
-	x *Matrix // block input (for residuals)
-
-	ln1Ctx  Ctx
-	qCtx    Ctx
-	kCtx    Ctx
-	vCtx    Ctx
-	oCtx    Ctx
-	q, k, v *Matrix
-	attn    []*Matrix // per-example softmaxed score matrices
-	mid     *Matrix   // attention output (after residual)
-
-	ln2Ctx  Ctx
-	fc1Ctx  Ctx
-	geluCtx Ctx
-	fc2Ctx  Ctx
+// blockWork is a Block's forward workspace for one row count: every
+// intermediate its Backward reads.
+type blockWork struct {
+	rows       int
+	n1, n2     *Matrix   // ln1 and ln2 outputs
+	xh1, xh2   *Matrix   // their normalized inputs
+	inv1, inv2 []float64 // their rows' inverse standard deviations
+	q, k, v    *Matrix
+	probs      []float64 // per example, SeqLen×SeqLen softmaxed scores (lower triangle)
+	att        *Matrix   // attention output, before wo
+	mid        *Matrix   // wo output plus the residual
+	h, g       *Matrix   // fc1 output and its GELU
 }
+
+// workspace returns a workspace sized to a rows-row input. The Block
+// keeps one workspace, allocated lazily: a call of its size reuses it
+// and a smaller call replaces it. A larger call, such as a full-batch
+// evaluation, gets a workspace of its own that only its context holds,
+// so it is freed with the context instead of staying resident.
+func (b *Block) workspace(rows int) *blockWork {
+	if w := b.work; w != nil && w.rows == rows {
+		return w
+	}
+	hidden := b.fc1.Out
+	w := &blockWork{
+		rows: rows,
+		n1:   NewMatrix(rows, b.Dim), n2: NewMatrix(rows, b.Dim),
+		xh1: NewMatrix(rows, b.Dim), xh2: NewMatrix(rows, b.Dim),
+		inv1: make([]float64, rows), inv2: make([]float64, rows),
+		q: NewMatrix(rows, b.Dim), k: NewMatrix(rows, b.Dim), v: NewMatrix(rows, b.Dim),
+		probs: make([]float64, rows*b.SeqLen),
+		att:   NewMatrix(rows, b.Dim),
+		mid:   NewMatrix(rows, b.Dim),
+		h:     NewMatrix(rows, hidden), g: NewMatrix(rows, hidden),
+	}
+	if b.work == nil || rows < b.work.rows {
+		b.work = w
+	}
+	return w
+}
+
+// blockCtx names the workspace a Forward filled and which Forward it
+// was.
+type blockCtx struct {
+	work *blockWork
+	gen  uint64
+}
+
+// generations numbers every Block Forward, so a generation names one
+// Forward of one Block.
+var generations atomic.Uint64
 
 // Forward implements Layer.
 func (b *Block) Forward(x *Matrix) (*Matrix, Ctx) {
 	if x.Rows%b.SeqLen != 0 {
 		panic(fmt.Sprintf("nn: block input rows %d not a multiple of seq %d", x.Rows, b.SeqLen))
 	}
-	c := &blockCtx{x: x}
+	w := b.workspace(x.Rows)
+	b.gen = generations.Add(1)
 
 	// Attention sub-layer.
-	var n *Matrix
-	n, c.ln1Ctx = b.ln1.Forward(x)
-	c.q, c.qCtx = b.wq.Forward(n)
-	c.k, c.kCtx = b.wk.Forward(n)
-	c.v, c.vCtx = b.wv.Forward(n)
+	b.ln1.forwardInto(w.n1, w.xh1, w.inv1, x)
+	b.wq.forwardInto(w.q, w.n1)
+	b.wk.forwardInto(w.k, w.n1)
+	b.wv.forwardInto(w.v, w.n1)
+	b.attend(w)
+	b.wo.forwardInto(w.mid, w.att)
+	AddInPlace(w.mid, x) // residual
 
-	batch := x.Rows / b.SeqLen
-	ctxOut := NewMatrix(x.Rows, b.Dim)
+	// MLP sub-layer.
+	b.ln2.forwardInto(w.n2, w.xh2, w.inv2, w.mid)
+	b.fc1.forwardInto(w.h, w.n2)
+	b.gelu.forwardInto(w.g, w.h)
+	y := NewMatrix(x.Rows, b.Dim)
+	b.fc2.forwardInto(y, w.g)
+	AddInPlace(y, w.mid) // residual
+	return y, blockCtx{work: w, gen: b.gen}
+}
+
+// attend fills w.probs with the causal softmax of q·kᵀ/√Dim and w.att
+// with the probability-weighted sum of v, example by example.
+func (b *Block) attend(w *blockWork) {
+	t := b.SeqLen
 	scale := 1 / math.Sqrt(float64(b.Dim))
-	c.attn = make([]*Matrix, batch)
-	for e := 0; e < batch; e++ {
-		off := e * b.SeqLen
-		a := NewMatrix(b.SeqLen, b.SeqLen)
-		for i := 0; i < b.SeqLen; i++ {
-			qi := c.q.Row(off + i)
+	clear(w.att.Data)
+	for off := 0; off < w.rows; off += t {
+		probs := w.probs[off*t : (off+t)*t]
+		for i := 0; i < t; i++ {
+			qi := w.q.Row(off + i)
 			// Causal: attend to positions ≤ i; softmax over them.
+			a := probs[i*t : i*t+i+1]
 			maxv := math.Inf(-1)
-			for j := 0; j <= i; j++ {
-				kj := c.k.Row(off + j)
+			for j := range a {
+				kj := w.k.Row(off + j)[:len(qi)]
 				var s float64
-				for d := range qi {
-					s += qi[d] * kj[d]
+				for d, qv := range qi {
+					s += qv * kj[d]
 				}
 				s *= scale
-				a.Set(i, j, s)
+				a[j] = s
 				if s > maxv {
 					maxv = s
 				}
 			}
 			var sum float64
-			for j := 0; j <= i; j++ {
-				v := math.Exp(a.At(i, j) - maxv)
-				a.Set(i, j, v)
+			for j, s := range a {
+				v := math.Exp(s - maxv)
+				a[j] = v
 				sum += v
 			}
-			for j := 0; j <= i; j++ {
-				a.Set(i, j, a.At(i, j)/sum)
+			for j := range a {
+				a[j] /= sum
 			}
-			out := ctxOut.Row(off + i)
-			for j := 0; j <= i; j++ {
-				w := a.At(i, j)
-				vj := c.v.Row(off + j)
-				for d := range out {
-					out[d] += w * vj[d]
+			out := w.att.Row(off + i)
+			for j, p := range a {
+				vj := w.v.Row(off + j)[:len(out)]
+				for d, vv := range vj {
+					out[d] += p * vv
 				}
 			}
 		}
-		c.attn[e] = a
 	}
-	var attnOut *Matrix
-	attnOut, c.oCtx = b.wo.Forward(ctxOut)
-	mid := attnOut
-	AddInPlace(mid, x) // residual
-	c.mid = mid
-
-	// MLP sub-layer.
-	var n2, h, g, mlpOut *Matrix
-	n2, c.ln2Ctx = b.ln2.Forward(mid)
-	h, c.fc1Ctx = b.fc1.Forward(n2)
-	g, c.geluCtx = b.gelu.Forward(h)
-	mlpOut, c.fc2Ctx = b.fc2.Forward(g)
-	AddInPlace(mlpOut, mid) // residual
-	return mlpOut, c
 }
 
 // Backward implements Layer.
 func (b *Block) Backward(ctx Ctx, dy *Matrix) *Matrix {
-	c := ctx.(*blockCtx)
+	c := ctx.(blockCtx)
+	if c.gen != b.gen {
+		panic(fmt.Sprintf("nn: %s: Backward given a stale context: a later Forward has run, or it is another Block's", b.name))
+	}
+	w := c.work
+	rows := w.rows
+	s := getScratch()
 
 	// MLP sub-layer backward (residual: dy flows to both branches).
-	dg := b.fc2.Backward(c.fc2Ctx, dy)
-	dh := b.gelu.Backward(c.geluCtx, dg)
-	dn2 := b.fc1.Backward(c.fc1Ctx, dh)
-	dmid := b.ln2.Backward(c.ln2Ctx, dn2)
+	dh := s.hidden.shape(rows, b.fc1.Out)
+	b.fc2.backwardInto(dh, w.g, dy, s) // dg
+	b.gelu.backwardInto(dh, w.h, dh)
+	dmid := s.mid.shape(rows, b.Dim)
+	b.fc1.backwardInto(dmid, w.n2, dh, s) // dn2
+	b.ln2.backwardInto(dmid, w.xh2, w.inv2, dmid, s)
 	AddInPlace(dmid, dy)
 
 	// Attention sub-layer backward.
-	dctx := b.wo.Backward(c.oCtx, dmid)
-	batch := c.x.Rows / b.SeqLen
+	dctx := s.ctx.shape(rows, b.Dim)
+	b.wo.backwardInto(dctx, w.att, dmid, s)
+	dq, dk, dv := s.q.zeroed(rows, b.Dim), s.k.zeroed(rows, b.Dim), s.v.zeroed(rows, b.Dim)
+	b.attendBackward(w, dctx, dq, dk, dv, s.row.shape(1, b.SeqLen).Data)
+	// dctx is spent: it takes each key and value input gradient in
+	// turn before it is added into dn.
+	dn := s.n.shape(rows, b.Dim)
+	b.wq.backwardInto(dn, w.n1, dq, s)
+	b.wk.backwardInto(dctx, w.n1, dk, s)
+	AddInPlace(dn, dctx)
+	b.wv.backwardInto(dctx, w.n1, dv, s)
+	AddInPlace(dn, dctx)
+	dx := NewMatrix(rows, b.Dim)
+	b.ln1.backwardInto(dx, w.xh1, w.inv1, dn, s)
+	AddInPlace(dx, dmid)
+	putScratch(s)
+	return dx
+}
+
+// attendBackward accumulates the q, k and v gradients of attend for
+// the attention-output gradient dctx into the zeroed dq, dk and dv;
+// daRow is scratch for one row of score gradients.
+func (b *Block) attendBackward(w *blockWork, dctx, dq, dk, dv *Matrix, daRow []float64) {
+	t := b.SeqLen
 	scale := 1 / math.Sqrt(float64(b.Dim))
-	dq := NewMatrix(c.x.Rows, b.Dim)
-	dk := NewMatrix(c.x.Rows, b.Dim)
-	dv := NewMatrix(c.x.Rows, b.Dim)
-	for e := 0; e < batch; e++ {
-		off := e * b.SeqLen
-		a := c.attn[e]
-		for i := 0; i < b.SeqLen; i++ {
+	for off := 0; off < w.rows; off += t {
+		probs := w.probs[off*t : (off+t)*t]
+		for i := 0; i < t; i++ {
 			dout := dctx.Row(off + i)
+			a := probs[i*t : i*t+i+1]
 			// dV and dA.
-			da := make([]float64, i+1)
-			for j := 0; j <= i; j++ {
-				vj := c.v.Row(off + j)
-				dvj := dv.Row(off + j)
-				w := a.At(i, j)
+			da := daRow[:len(a)]
+			for j, p := range a {
+				vj := w.v.Row(off + j)[:len(dout)]
+				dvj := dv.Row(off + j)[:len(dout)]
 				var s float64
-				for d := range dout {
-					dvj[d] += w * dout[d]
-					s += dout[d] * vj[d]
+				for d, g := range dout {
+					dvj[d] += p * g
+					s += g * vj[d]
 				}
 				da[j] = s
 			}
 			// Softmax backward: ds = a ⊙ (da − Σ a·da).
 			var dot float64
-			for j := 0; j <= i; j++ {
-				dot += a.At(i, j) * da[j]
+			for j, p := range a {
+				dot += p * da[j]
 			}
-			for j := 0; j <= i; j++ {
-				ds := a.At(i, j) * (da[j] - dot) * scale
-				qi := c.q.Row(off + i)
-				kj := c.k.Row(off + j)
-				dqi := dq.Row(off + i)
-				dkj := dk.Row(off + j)
-				for d := range qi {
+			qi := w.q.Row(off + i)
+			dqi := dq.Row(off + i)[:len(qi)]
+			for j, p := range a {
+				ds := p * (da[j] - dot) * scale
+				kj := w.k.Row(off + j)[:len(qi)]
+				dkj := dk.Row(off + j)[:len(qi)]
+				for d, qv := range qi {
 					dqi[d] += ds * kj[d]
-					dkj[d] += ds * qi[d]
+					dkj[d] += ds * qv
 				}
 			}
 		}
 	}
-	dn := b.wq.Backward(c.qCtx, dq)
-	AddInPlace(dn, b.wk.Backward(c.kCtx, dk))
-	AddInPlace(dn, b.wv.Backward(c.vCtx, dv))
-	dx := b.ln1.Backward(c.ln1Ctx, dn)
-	AddInPlace(dx, dmid)
-	return dx
 }
 
 // Params implements Layer.
