@@ -62,7 +62,7 @@ type arbiter struct {
 	probe  simtime.Duration
 	hz     simtime.Time
 	opts   Options
-	onTick func(a, b int32)
+	onTick simtime.Handle
 
 	jobs    []*jobState
 	free    []freeVM
@@ -145,7 +145,7 @@ func newArbiter(mk *spot.Market, jobs []*Job, opts Options) *arbiter {
 
 func (a *arbiter) run() (*Result, error) {
 	a.q = new(simtime.EventQueue)
-	a.onTick = a.tick
+	a.onTick = a.q.Register(a.tick)
 	// The arbiter's first tick is scheduled before any job's first
 	// step: ticks win every same-instant race by insertion order, so
 	// leases granted at T are poppable by job steps at T.

@@ -417,15 +417,15 @@ type vmInfo struct {
 // plane runs as an event loop on the simulated clock, like every
 // other time-driven component in the system: each step applies the
 // spot events due now, morphs or trains, and schedules its own
-// continuation through the event queue's ScheduleCall path (the step
-// callback is bound once per run, so the loop adds no per-step
-// closures).
+// continuation through the event queue (the step callback is
+// registered once per run on the queue it runs on, so the loop adds no
+// per-step closures).
 type timelineRun struct {
 	mg     *Manager
 	feed   Feed
 	hz     simtime.Time
 	q      *simtime.EventQueue
-	onStep func(a, b int32)
+	onStep simtime.Handle
 	// gaps estimates the time to the next fleet event from the events
 	// already applied — the spot-derived horizon of each morph-or-hold
 	// decision.
@@ -1500,7 +1500,7 @@ func (mg *Manager) StartOn(q *simtime.EventQueue, feed Feed, horizon simtime.Dur
 	}
 	r.outs = sortOutages(mg.Outages)
 	r.nextHB = simtime.Time(mg.Opts.HeartbeatEvery)
-	r.onStep = r.step
+	r.onStep = q.Register(r.step)
 	r.reschedule()
 	return &Run{r: r}, nil
 }

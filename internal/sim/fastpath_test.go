@@ -173,3 +173,33 @@ func BenchmarkRunRuleTraced(b *testing.B) {
 		}
 	}
 }
+
+// TestEventCountPins pins how many events a run pushes, on the fast
+// path and by brute force, for the §7.2 P=18 shape. The count is
+// deterministic, so any change is a real change: a re-added no-op event
+// fails here even though every result stays the same. Before the
+// executor stopped scheduling wakes outside SyncComm, upstream tries on
+// busy stages and arrivals at busy stages, the counts were 4776 and
+// 10808 at Nm=100, and 4776 and 104408 at Nm=1000.
+func TestEventCountPins(t *testing.T) {
+	for _, c := range []struct {
+		nm          int
+		brute       bool
+		want        int64
+		fastForward bool
+	}{
+		{100, false, 3416, true},
+		{100, true, 7534, false},
+		{1000, false, 3416, true},
+		{1000, true, 71434, false},
+	} {
+		cfg := Config{Depth: 18, Micros: c.nm, Policy: schedule.Varuna, Costs: benchCosts18(), DisableSteadyState: c.brute}
+		e, _ := runDirect(t, cfg)
+		if got := e.q.Scheduled(); got != c.want {
+			t.Errorf("Nm=%d brute=%v: %d events pushed, want %d", c.nm, c.brute, got, c.want)
+		}
+		if e.ss.fired != c.fastForward {
+			t.Errorf("Nm=%d brute=%v: fast-forward fired %v, want %v", c.nm, c.brute, e.ss.fired, c.fastForward)
+		}
+	}
+}

@@ -21,10 +21,12 @@
 //
 // The simulate-and-decide loop is Varuna's morphing hot path (§7.2):
 // the executor is pooled across invocations, all per-stage bookkeeping
-// lives in flat backing arrays reused run to run, and every event goes
-// through the event queue's allocation-free ScheduleCall path. With
-// CollectTrace off (the default for EstimateMakespan) a steady-state
-// simulation performs no per-task allocations at all.
+// lives in flat backing arrays reused run to run, and every event is a
+// pointer-free (instant, callback handle, two int32 arguments) node on
+// the event queue. With CollectTrace off (the default for
+// EstimateMakespan) a steady-state simulation performs no per-task
+// allocations at all. The executor schedules only events that can
+// change state: see start, arrive and wake for the ones it leaves out.
 package sim
 
 import (
@@ -135,6 +137,9 @@ const never = simtime.Time(math.MaxInt64)
 type stageState struct {
 	idx  int
 	busy bool
+	// busyUntil is when the running task's completion fires: while
+	// busy, no try can run on the stage before it.
+	busyUntil simtime.Time
 
 	actArrival    []simtime.Time // activation availability per micro
 	gradArrival   []simtime.Time
@@ -157,14 +162,14 @@ type stageState struct {
 	fwdHi     int // 1 + highest micro forwarded so far
 	busySum   simtime.Duration
 	lastBwd   simtime.Time
-	wakeAt    simtime.Time // pending scheduled wake (dedupe)
+	wakeAt    simtime.Time // pending scheduled wake (dedupe; SyncComm only)
 }
 
 // executor simulates one mini-batch. Instances are pooled: all
 // per-stage bookkeeping slices point into the flat timeBuf/boolBuf/
 // orderBuf backing arrays, which are resized (not reallocated) between
-// runs, and the event callbacks are bound once per instance so the
-// event queue never wraps a fresh closure on the hot path.
+// runs, and the event callback is registered on the instance's queue
+// once, so the hot path schedules plain (handle, a, b) nodes.
 type executor struct {
 	cfg    Config
 	q      simtime.EventQueue
@@ -177,7 +182,7 @@ type executor struct {
 	boolBuf  []bool
 	orderBuf []bool
 
-	onEvent func(a, b int32)
+	onEvent simtime.Handle
 	onShift func(a, b int32) (int32, int32)
 }
 
@@ -202,7 +207,7 @@ var execPool = sync.Pool{New: func() any { return newExecutor() }}
 
 func newExecutor() *executor {
 	e := &executor{}
-	e.onEvent = func(a, b int32) {
+	e.onEvent = e.q.Register(func(a, b int32) {
 		s := int(a & (1<<16 - 1))
 		switch a >> 16 {
 		case evTry:
@@ -223,7 +228,7 @@ func newExecutor() *executor {
 			}
 			e.try(s)
 		}
-	}
+	})
 	e.onShift = e.shiftEventArgs
 	return e
 }
@@ -375,6 +380,9 @@ func (e *executor) run(cfg Config) (Result, error) {
 	return res, nil
 }
 
+// costFields names the StageCosts fields in the order validate checks them.
+var costFields = [...]string{"Fwd", "Bwd", "Rec", "ActSend", "GradSend", "AllReduce", "Optimizer"}
+
 func validate(cfg *Config) error {
 	if cfg.Depth < 1 || cfg.Micros < 1 {
 		return fmt.Errorf("sim: bad shape depth=%d micros=%d", cfg.Depth, cfg.Micros)
@@ -388,11 +396,29 @@ func validate(cfg *Config) error {
 	if len(cfg.Costs) != cfg.Depth {
 		return fmt.Errorf("sim: %d cost entries for depth %d", len(cfg.Costs), cfg.Depth)
 	}
+	// A negative cost, or a speed factor that is not finite and
+	// positive, makes a task end before it starts or goes through an
+	// undefined float-to-int conversion.
+	for s, c := range cfg.Costs {
+		for i, d := range [...]simtime.Duration{c.Fwd, c.Bwd, c.Rec, c.ActSend, c.GradSend, c.AllReduce, c.Optimizer} {
+			if d < 0 {
+				return fmt.Errorf("sim: stage %d has negative %s %v", s, costFields[i], d)
+			}
+		}
+	}
+	if cfg.MaxInFlight < 0 {
+		return fmt.Errorf("sim: negative MaxInFlight %d", cfg.MaxInFlight)
+	}
 	if (cfg.JitterCV > 0 || cfg.ComputeJitterCV > 0) && cfg.Rand == nil {
 		return fmt.Errorf("sim: jitter requested without a random source")
 	}
 	if cfg.SpeedFactor != nil && len(cfg.SpeedFactor) != cfg.Depth {
 		return fmt.Errorf("sim: %d speed factors for depth %d", len(cfg.SpeedFactor), cfg.Depth)
+	}
+	for s, f := range cfg.SpeedFactor {
+		if !(f > 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("sim: stage %d has SpeedFactor %v, want finite and positive", s, f)
+		}
 	}
 	if !cfg.Policy.Rule {
 		if len(cfg.Orders) != cfg.Depth {
@@ -461,6 +487,7 @@ func (e *executor) start(st *stageState, t schedule.Task, now simtime.Time, extr
 	d := e.dur(mean, st.idx) + extra
 	end := now.Add(d)
 	st.busy = true
+	st.busyUntil = end
 	st.busySum += d
 	if t.Kind == schedule.Forward && t.Micro >= st.fwdHi {
 		st.fwdHi = t.Micro + 1
@@ -479,12 +506,33 @@ func (e *executor) start(st *stageState, t schedule.Task, now simtime.Time, extr
 		arr := end.Add(xfer)
 		up.gradAnnounce[t.Micro] = arr
 		up.gradSenderEnd[t.Micro] = end
-		e.q.ScheduleCall(arr, e.onEvent, evA(evGradArrive, up.idx), int32(t.Micro))
-		// Wake upstream now so it can plan the recompute.
-		e.q.ScheduleCall(now, e.onEvent, evA(evTry, up.idx), 0)
+		e.arrive(up, up.gradArrival, evGradArrive, t.Micro, arr)
+		// Wake upstream now so it can plan the recompute — unless it is
+		// busy until strictly after now: that try would fire before its
+		// completion and return at st.busy, and the completion's own
+		// try sees the announcement.
+		if !up.busy || up.busyUntil <= now {
+			e.q.ScheduleCall(now, e.onEvent, evA(evTry, up.idx), 0)
+		}
 	}
 
 	e.q.ScheduleCall(end, e.onEvent, evA(evComplete, st.idx), packTask(t))
+}
+
+// arrive delivers micro m's input (activation or gradient) to stage rx
+// at instant arr: an event that records the instant and tries rx. When
+// rx is busy until strictly after arr, that try would return at
+// st.busy, so the instant is recorded now and no event is scheduled.
+// Every earlier reader compares it against an earlier clock and sees
+// "not arrived", as if unset; rx's completion is the first try that
+// can see it. Keep the comparison strict: a completion exactly at arr
+// fires first (it was scheduled earlier) and must not see the input.
+func (e *executor) arrive(rx *stageState, arrivals []simtime.Time, kind int32, m int, arr simtime.Time) {
+	if rx.busy && rx.busyUntil > arr {
+		arrivals[m] = arr
+		return
+	}
+	e.q.ScheduleCall(arr, e.onEvent, evA(kind, rx.idx), int32(m))
 }
 
 func (e *executor) complete(st *stageState, t schedule.Task, end simtime.Time) {
@@ -499,7 +547,7 @@ func (e *executor) complete(st *stageState, t schedule.Task, end simtime.Time) {
 			xfer := e.netDur(e.cfg.Costs[st.idx].ActSend)
 			arr := end.Add(xfer)
 			down.fwdSenderEnd[t.Micro] = end
-			e.q.ScheduleCall(arr, e.onEvent, evA(evActArrive, down.idx), int32(t.Micro))
+			e.arrive(down, down.actArrival, evActArrive, t.Micro, arr)
 		} else {
 			// Last stage: loss computed, gradient available locally.
 			st.gradArrival[t.Micro] = end
@@ -577,9 +625,20 @@ func (e *executor) syncExtra(st *stageState, t schedule.Task) simtime.Duration {
 	return simtime.Duration(float64(xfer)*frac + 0.5)
 }
 
-// wake schedules a retry at t, deduplicating earlier wakes.
+// wake schedules a retry of st at t, the announced arrival of the
+// gradient it waits for, deduplicating earlier wakes.
+//
+// Only SyncComm policies need it. Otherwise the gradient's arrival
+// event at t fires first (it was scheduled before any wake could be),
+// and its try starts the backward or recompute the gradient enables,
+// since the backward cannot run before its gradient lands: the wake
+// would find the stage busy. (Without an arrival event, see arrive,
+// the stage is busy past t.) Under SyncComm the backward can run once
+// the sender finishes, before t, so the stage may be idle at t, and
+// the wake's try can start a forward whose sender finished at t — a
+// change that brings no try of its own.
 func (e *executor) wake(st *stageState, t simtime.Time) {
-	if t == never || t <= e.q.Now() {
+	if !e.cfg.Policy.SyncComm || t == never || t <= e.q.Now() {
 		return
 	}
 	if st.wakeAt != never && st.wakeAt <= t {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -283,21 +285,65 @@ func TestOpportunisticPullForward(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: malformed configs are errors. Negative costs,
+// a negative stash cap and speed factors that are not finite and
+// positive name the stage and the field; Run used to accept them (a
+// negative Fwd returned a makespan, a NaN speed factor went through an
+// undefined float-to-int conversion, and MaxInFlight -1 was reported
+// as a deadlock).
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Depth: 0, Micros: 1, Policy: schedule.Varuna}); err == nil {
-		t.Fatal("depth 0 must fail")
+	cost := func(mod func(*StageCosts)) func(*Config) {
+		return func(c *Config) { mod(&c.Costs[1]) }
 	}
-	if _, err := Run(Config{Depth: 2, Micros: 2, Policy: schedule.Varuna, Costs: UnitCosts(1, unit)}); err == nil {
-		t.Fatal("cost length mismatch must fail")
+	speed := func(f float64) func(*Config) {
+		return func(c *Config) { c.SpeedFactor = []float64{1, f, 1, 1} }
 	}
-	if _, err := Run(Config{Depth: 2, Micros: 2, Policy: schedule.Varuna, Costs: UnitCosts(2, unit), JitterCV: 0.5}); err == nil {
-		t.Fatal("jitter without rand must fail")
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+		want []string // substrings of the error
+	}{
+		{"depth 0", func(c *Config) { c.Depth = 0 }, nil},
+		{"cost length mismatch", func(c *Config) { c.Costs = UnitCosts(1, unit) }, nil},
+		{"jitter without rand", func(c *Config) { c.JitterCV = 0.5 }, nil},
+		{"strict policy without orders", func(c *Config) { c.Policy = schedule.GPipeP }, nil},
+		{"speed factor length mismatch", func(c *Config) { c.SpeedFactor = []float64{1} }, nil},
+		{"negative Fwd", cost(func(c *StageCosts) { c.Fwd = -unit }), []string{"stage 1", "Fwd"}},
+		{"negative Bwd", cost(func(c *StageCosts) { c.Bwd = -1 }), []string{"stage 1", "Bwd"}},
+		{"negative Rec", cost(func(c *StageCosts) { c.Rec = -1 }), []string{"stage 1", "Rec"}},
+		{"negative ActSend", cost(func(c *StageCosts) { c.ActSend = -1 }), []string{"stage 1", "ActSend"}},
+		{"negative GradSend", cost(func(c *StageCosts) { c.GradSend = -1 }), []string{"stage 1", "GradSend"}},
+		{"negative AllReduce", cost(func(c *StageCosts) { c.AllReduce = -1 }), []string{"stage 1", "AllReduce"}},
+		{"negative Optimizer", cost(func(c *StageCosts) { c.Optimizer = -1 }), []string{"stage 1", "Optimizer"}},
+		{"negative MaxInFlight", func(c *Config) { c.MaxInFlight = -1 }, []string{"MaxInFlight"}},
+		{"NaN speed", speed(math.NaN()), []string{"stage 1", "SpeedFactor"}},
+		{"+Inf speed", speed(math.Inf(1)), []string{"stage 1", "SpeedFactor"}},
+		{"-Inf speed", speed(math.Inf(-1)), []string{"stage 1", "SpeedFactor"}},
+		{"zero speed", speed(0), []string{"stage 1", "SpeedFactor"}},
+		{"negative speed", speed(-1.5), []string{"stage 1", "SpeedFactor"}},
+	} {
+		cfg := Config{Depth: 4, Micros: 16, Policy: schedule.Varuna, Costs: UnitCosts(4, unit)}
+		tc.mod(&cfg)
+		_, err := Run(cfg)
+		if err == nil {
+			t.Errorf("%s: Run accepted the config", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, w)
+			}
+		}
+		if _, err := EstimateMakespan(cfg); err == nil {
+			t.Errorf("%s: EstimateMakespan accepted the config", tc.name)
+		}
 	}
-	if _, err := Run(Config{Depth: 2, Micros: 2, Policy: schedule.GPipeP, Costs: UnitCosts(2, unit)}); err == nil {
-		t.Fatal("strict policy without orders must fail")
-	}
-	if _, err := Run(Config{Depth: 2, Micros: 2, Policy: schedule.Varuna, Costs: UnitCosts(2, unit), SpeedFactor: []float64{1}}); err == nil {
-		t.Fatal("speed factor length mismatch must fail")
+	// Zero costs, a zero stash cap (the 2·Depth default) and slowed or
+	// sped-up stages stay valid.
+	ok := Config{Depth: 4, Micros: 16, Policy: schedule.Varuna, Costs: make([]StageCosts, 4),
+		SpeedFactor: []float64{1, 0.5, 3, 1e-3}}
+	if _, err := Run(ok); err != nil {
+		t.Errorf("valid edge config rejected: %v", err)
 	}
 }
 

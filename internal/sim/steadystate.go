@@ -29,7 +29,9 @@ import (
 //     outstanding on any stage;
 //   - times relative to the current clock, with all past instants
 //     collapsed into one class (the executor only ever compares past
-//     times against "now", so their exact values are dead state);
+//     times against "now", so their exact values are dead state); an
+//     arrival recorded ahead of time for a busy receiver (arrive in
+//     sim.go) is a future instant and keeps its exact offset;
 //   - the pending event queue in deterministic firing order, with the
 //     micro indices inside event arguments normalized the same way
 //     (simtime.EventQueue.SnapshotPending).
@@ -171,14 +173,7 @@ func (ss *steadyState) boundary(e *executor, now simtime.Time) {
 		return
 	}
 	if ss.ref.valid {
-		eq, fingerprintable := ss.liveEquals(e, now, m0, hi)
-		if !fingerprintable {
-			// A closure-style event is pending: the queue cannot be
-			// fingerprinted, so the run is not provably periodic.
-			ss.armed = false
-			return
-		}
-		if eq {
+		if ss.liveEquals(e, now, m0, hi) {
 			ss.fastForward(e, now, m0, hi)
 			if ss.fired {
 				ss.armed = false
@@ -195,10 +190,7 @@ func (ss *steadyState) boundary(e *executor, now simtime.Time) {
 	}
 	ss.boundaries++
 	if ss.boundaries >= ss.nextRebuild {
-		if !ss.capture(e, now, m0, hi) {
-			ss.armed = false
-			return
-		}
+		ss.capture(e, now, m0, hi)
 		// ×1.5 geometric re-capture: within ~half an onset of steady
 		// state the reference lands inside the periodic regime, and the
 		// next Δb boundaries of cheap streaming compares find the match.
@@ -207,15 +199,14 @@ func (ss *steadyState) boundary(e *executor, now simtime.Time) {
 }
 
 // capture materializes the canonical fingerprint of the current state
-// into the reference snapshot, reporting false when the event queue
-// holds an unfingerprintable (closure-style) event. Layout (mirrored
-// exactly by liveEquals): the live-window length, every stage's scalar
-// cursors, the per-micro windows, the strict-policy order windows, and
-// the pending-event queue last. Scalars lead so that streaming
-// comparisons against a drifting state exit early; the queue trails so
-// that only a boundary whose direct state already matches pays for the
-// snapshot-and-sort of SnapshotPending.
-func (ss *steadyState) capture(e *executor, now simtime.Time, m0, hi int) bool {
+// into the reference snapshot. Layout (mirrored exactly by liveEquals):
+// the live-window length, every stage's scalar cursors, the per-micro
+// windows, the strict-policy order windows, and the pending-event
+// queue last. Scalars lead so that streaming comparisons against a
+// drifting state exit early; the queue trails so that only a boundary
+// whose direct state already matches pays for the snapshot-and-sort of
+// SnapshotPending.
+func (ss *steadyState) capture(e *executor, now simtime.Time, m0, hi int) {
 	s := &ss.ref
 	s.valid = false
 	s.m0 = m0
@@ -288,12 +279,8 @@ func (ss *steadyState) capture(e *executor, now simtime.Time, m0, hi int) bool {
 			}
 		}
 	}
-	evs, ok := e.q.SnapshotPending(ss.evBuf)
+	evs := e.q.SnapshotPending(ss.evBuf)
 	ss.evBuf = evs
-	if !ok {
-		s.vec = v
-		return false
-	}
 	v = append(v, int64(len(evs)))
 	for _, ev := range evs {
 		// Pending events are never in the past (the queue clamps), so
@@ -305,19 +292,17 @@ func (ss *steadyState) capture(e *executor, now simtime.Time, m0, hi int) bool {
 	}
 	s.vec = v
 	s.valid = true
-	return true
 }
 
 // liveEquals streams the canonical fingerprint of the current state
 // against the reference vector, in exactly capture's emission order,
-// and reports whether they are identical, plus whether the state was
-// fingerprintable at all (false when the queue holds a closure-style
-// event — checked only once the direct state matches, since the queue
-// snapshot is the one non-free piece). A mismatch returns at the first
-// differing value — during warm-up and phase drift that is almost
-// always within the leading scalar section — so the per-boundary cost
-// of watching for the cycle is O(1)-ish, not O(state).
-func (ss *steadyState) liveEquals(e *executor, now simtime.Time, m0, hi int) (eq, fingerprintable bool) {
+// and reports whether they are identical. The queue snapshot, the one
+// non-free piece, is taken only once the direct state matches. A
+// mismatch returns at the first differing value — during warm-up and
+// phase drift that is almost always within the leading scalar section
+// — so the per-boundary cost of watching for the cycle is O(1)-ish,
+// not O(state).
+func (ss *steadyState) liveEquals(e *executor, now simtime.Time, m0, hi int) bool {
 	v := ss.ref.vec
 	i := 0
 	match := func(x int64) bool {
@@ -328,7 +313,7 @@ func (ss *steadyState) liveEquals(e *executor, now simtime.Time, m0, hi int) (eq
 		return true
 	}
 	if !match(int64(hi - m0)) {
-		return false, true
+		return false
 	}
 	syncComm := e.cfg.Policy.SyncComm
 	strict := !e.cfg.Policy.Rule
@@ -342,7 +327,7 @@ func (ss *steadyState) liveEquals(e *executor, now simtime.Time, m0, hi int) (eq
 			!match(int64(st.fwdHi-m0)) || !match(int64(st.inFlight)) ||
 			!match(boolBit(st.busy)) || !match(relMicro(st.hot, m0)) ||
 			!match(relMicro(st.locked, m0)) || !match(relTime(st.wakeAt, now)) {
-			return false, true
+			return false
 		}
 	}
 	for si := range e.stages {
@@ -351,10 +336,10 @@ func (ss *steadyState) liveEquals(e *executor, now simtime.Time, m0, hi int) (eq
 			bits := boolBit(st.fwdDone[m]) | boolBit(st.recDone[m])<<1 | boolBit(st.bwdDone[m])<<2
 			if !match(bits) || !match(relTime(st.actArrival[m], now)) ||
 				!match(relTime(st.gradArrival[m], now)) || !match(relTime(st.gradAnnounce[m], now)) {
-				return false, true
+				return false
 			}
 			if syncComm && (!match(relTime(st.fwdSenderEnd[m], now)) || !match(relTime(st.gradSenderEnd[m], now))) {
-				return false, true
+				return false
 			}
 		}
 		if strict {
@@ -364,32 +349,29 @@ func (ss *steadyState) liveEquals(e *executor, now simtime.Time, m0, hi int) (eq
 				w = rem
 			}
 			if !match(int64(w)) {
-				return false, true
+				return false
 			}
 			for j := 0; j < w; j++ {
 				t := order[st.orderPos+j]
 				if !match(int64(t.Kind)) || !match(int64(t.Micro-m0)) ||
 					!match(boolBit(st.orderDone[st.orderPos+j])) {
-					return false, true
+					return false
 				}
 			}
 		}
 	}
 	// The direct state matches: only now pay for the queue snapshot.
-	evs, ok := e.q.SnapshotPending(ss.evBuf)
+	evs := e.q.SnapshotPending(ss.evBuf)
 	ss.evBuf = evs
-	if !ok {
-		return false, false
-	}
 	if !match(int64(len(evs))) {
-		return false, true
+		return false
 	}
 	for _, ev := range evs {
 		if !match(int64(ev.At-now)) || !match(int64(ev.A)) || !match(relEvB(ev, m0)) {
-			return false, true
+			return false
 		}
 	}
-	return i == len(v), true
+	return i == len(v)
 }
 
 // relEvB normalizes the second callback argument of a pending event:
@@ -483,6 +465,7 @@ func (ss *steadyState) fastForward(e *executor, now simtime.Time, m0, hi int) {
 		if st.locked >= 0 {
 			st.locked += kdm
 		}
+		st.busyUntil = st.busyUntil.Add(kdt)
 		if st.wakeAt != never {
 			st.wakeAt = st.wakeAt.Add(kdt)
 		}

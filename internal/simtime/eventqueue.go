@@ -1,106 +1,82 @@
 package simtime
 
-// event is one arena slot: a unit of work scheduled on the simulated
-// clock. Events with equal times fire in insertion order (seq), which
-// keeps simulations deterministic regardless of heap internals.
-//
-// An event carries either a plain closure (fire) or a pre-bound
-// callback plus two integer arguments (call, a, b). The second form
-// lets hot simulation loops schedule millions of events without
-// allocating: the caller binds a method value once and passes it for
-// every event, so only the 16 bytes of arguments travel through the
-// queue.
-type event struct {
+import "math/bits"
+
+// Handle names a callback registered on one EventQueue.
+type Handle int32
+
+// node is one pending event, stored by value in the heap array: the
+// (at, seq) ordering key, the registered callback's handle and its two
+// arguments. Events with equal times fire in insertion order (seq),
+// which keeps simulations deterministic regardless of heap internals.
+// A node holds no pointers, so the garbage collector never scans the
+// heap.
+type node struct {
 	at   Time
 	seq  int64
-	fire func()
-	call func(a, b int32)
 	a, b int32
+	fn   Handle
 }
 
-// EventQueue is a priority queue of simulated events, implemented as an
-// indexed binary heap over a reusable arena: the heap orders int32
-// slots rather than pointers, and popped slots are recycled through a
-// free list. After warm-up a schedule/fire cycle performs zero
-// allocations. The zero value is ready to use.
+// EventQueue is a priority queue of simulated events: a binary heap of
+// pointer-free nodes ordered by (at, seq). A component registers its
+// callback once (Register) and then schedules events as (instant,
+// handle, a, b), so only 32 bytes travel through the queue per event
+// and a schedule/fire cycle performs zero allocations once the heap
+// has grown. Several components may share one queue, each with its own
+// handle. The zero value is ready to use.
 type EventQueue struct {
 	now   Time
 	seq   int64
-	arena []event
-	frees []int32 // recycled arena slots
-	heap  []int32 // arena indices ordered by (at, seq)
+	calls []func(a, b int32)
+	heap  []node
+}
+
+// Register adds fn to the queue's callbacks and returns the handle
+// events use to fire it. Registrations survive Reset.
+func (q *EventQueue) Register(fn func(a, b int32)) Handle {
+	q.calls = append(q.calls, fn)
+	return Handle(len(q.calls) - 1)
 }
 
 // Now reports the current simulated time: the timestamp of the most
 // recently fired event.
 func (q *EventQueue) Now() Time { return q.now }
 
-// Schedule enqueues fn to run at instant at. Scheduling in the past is
-// clamped to the current time (the event fires next).
-func (q *EventQueue) Schedule(at Time, fn func()) {
-	q.push(at, fn, nil, 0, 0)
-}
-
-// ScheduleCall enqueues fn(a, b) at instant at. The func value is
-// stored as-is, not wrapped, so passing the same pre-bound method value
-// for every event keeps the scheduling path allocation-free. The same
-// past-clamping as Schedule applies.
-func (q *EventQueue) ScheduleCall(at Time, fn func(a, b int32), a, b int32) {
-	q.push(at, nil, fn, a, b)
-}
-
-// After enqueues fn to run d after the current simulated time.
-func (q *EventQueue) After(d Duration, fn func()) {
-	q.Schedule(q.now.Add(d), fn)
+// ScheduleCall enqueues the callback registered as h, to be called
+// with (a, b) at instant at. Scheduling in the past is clamped to the
+// current time (the event fires after every event already due now).
+func (q *EventQueue) ScheduleCall(at Time, h Handle, a, b int32) {
+	if at < q.now {
+		at = q.now
+	}
+	q.seq++
+	q.heap = append(q.heap, node{at: at, seq: q.seq, a: a, b: b, fn: h})
+	q.up(len(q.heap) - 1)
 }
 
 // Len reports the number of pending events.
 func (q *EventQueue) Len() int { return len(q.heap) }
 
-func (q *EventQueue) push(at Time, fire func(), call func(a, b int32), a, b int32) {
-	if at < q.now {
-		at = q.now
-	}
-	q.seq++
-	var id int32
-	if n := len(q.frees); n > 0 {
-		id = q.frees[n-1]
-		q.frees = q.frees[:n-1]
-	} else {
-		q.arena = append(q.arena, event{})
-		id = int32(len(q.arena) - 1)
-	}
-	q.arena[id] = event{at: at, seq: q.seq, fire: fire, call: call, a: a, b: b}
-	q.heap = append(q.heap, id)
-	q.up(len(q.heap) - 1)
-}
+// Scheduled reports how many events have been scheduled since the
+// queue was created or last Reset.
+func (q *EventQueue) Scheduled() int64 { return q.seq }
 
 // Step fires the earliest pending event, advancing the clock. It
 // reports false when no events remain.
 func (q *EventQueue) Step() bool {
-	if len(q.heap) == 0 {
+	n := len(q.heap) - 1
+	if n < 0 {
 		return false
 	}
-	id := q.heap[0]
-	n := len(q.heap) - 1
+	ev := q.heap[0]
 	q.heap[0] = q.heap[n]
 	q.heap = q.heap[:n]
 	if n > 0 {
 		q.down(0)
 	}
-	ev := &q.arena[id]
 	q.now = ev.at
-	fire, call, a, b := ev.fire, ev.call, ev.a, ev.b
-	// Drop the callback references and recycle the slot before firing:
-	// completed events must not pin captured state, and the callback is
-	// free to schedule into the slot it just vacated.
-	ev.fire, ev.call = nil, nil
-	q.frees = append(q.frees, id)
-	if call != nil {
-		call(a, b)
-	} else {
-		fire()
-	}
+	q.calls[ev.fn](ev.a, ev.b)
 	return true
 }
 
@@ -108,7 +84,7 @@ func (q *EventQueue) Step() bool {
 // (horizon <= 0 means no horizon). It returns the final simulated time.
 func (q *EventQueue) Run(horizon Time) Time {
 	for len(q.heap) > 0 {
-		if horizon > 0 && q.arena[q.heap[0]].at > horizon {
+		if horizon > 0 && q.heap[0].at > horizon {
 			q.now = horizon
 			break
 		}
@@ -117,11 +93,13 @@ func (q *EventQueue) Run(horizon Time) Time {
 	return q.now
 }
 
-// PendingEvent is one scheduled-but-unfired call-style event as seen
-// by SnapshotPending: its absolute time and the two callback
-// arguments. The insertion sequence stays unexported — snapshots are
-// already emitted in firing order, and absolute sequence numbers would
-// defeat the relative-state comparison snapshots exist for.
+// PendingEvent is one scheduled-but-unfired event as seen by
+// SnapshotPending: its absolute time and the two callback arguments.
+// The insertion sequence stays unexported — snapshots are already
+// emitted in firing order, and absolute sequence numbers would defeat
+// the relative-state comparison snapshots exist for. The callback
+// handle is not reported either: the simulator, the only caller,
+// registers one callback per queue.
 type PendingEvent struct {
 	At   Time
 	A, B int32
@@ -129,21 +107,14 @@ type PendingEvent struct {
 	seq int64
 }
 
-// SnapshotPending appends every pending call-style event to dst[:0] in
-// deterministic firing order (time, then insertion sequence) and
-// reports whether the snapshot is complete. A pending closure event
-// (Schedule/After) has no inspectable identity, so its presence makes
-// the queue unfingerprintable: the snapshot reports ok == false and
-// the caller must not treat the queue as comparable. The returned
-// slice aliases dst's backing array (grown as needed); a warm caller
-// performs no allocations.
-func (q *EventQueue) SnapshotPending(dst []PendingEvent) (out []PendingEvent, ok bool) {
+// SnapshotPending appends every pending event to dst[:0] in
+// deterministic firing order (time, then insertion sequence). The
+// returned slice aliases dst's backing array (grown as needed); a warm
+// caller performs no allocations.
+func (q *EventQueue) SnapshotPending(dst []PendingEvent) []PendingEvent {
 	dst = dst[:0]
-	for _, id := range q.heap {
-		ev := &q.arena[id]
-		if ev.fire != nil {
-			return dst, false
-		}
+	for i := range q.heap {
+		ev := &q.heap[i]
 		dst = append(dst, PendingEvent{At: ev.at, A: ev.a, B: ev.b, seq: ev.seq})
 	}
 	// Insertion sort by (At, seq): pending counts are small (O(P) for
@@ -157,7 +128,7 @@ func (q *EventQueue) SnapshotPending(dst []PendingEvent) (out []PendingEvent, ok
 		}
 		dst[j+1] = e
 	}
-	return dst, true
+	return dst
 }
 
 // ShiftPending advances the simulated clock and every pending event by
@@ -170,73 +141,75 @@ func (q *EventQueue) SnapshotPending(dst []PendingEvent) (out []PendingEvent, ok
 // arithmetically instead of fired.
 func (q *EventQueue) ShiftPending(d Duration, rewrite func(a, b int32) (int32, int32)) {
 	q.now = q.now.Add(d)
-	for _, id := range q.heap {
-		ev := &q.arena[id]
+	for i := range q.heap {
+		ev := &q.heap[i]
 		ev.at = ev.at.Add(d)
-		if rewrite != nil && ev.call != nil {
+		if rewrite != nil {
 			ev.a, ev.b = rewrite(ev.a, ev.b)
 		}
 	}
 }
 
-// Reset returns the queue to its zero state while keeping the arena,
-// heap and free-list capacity, so a pooled simulation can run again
-// without reallocating. Pending events are discarded and their
-// callbacks released.
+// Reset discards every pending event and returns the clock and the
+// sequence counter to zero, keeping the registered callbacks and the
+// heap's capacity, so a pooled simulation can run again without
+// reallocating or re-registering.
 func (q *EventQueue) Reset() {
-	for i := range q.arena {
-		q.arena[i].fire, q.arena[i].call = nil, nil
-	}
-	q.arena = q.arena[:0]
-	q.frees = q.frees[:0]
 	q.heap = q.heap[:0]
 	q.seq = 0
 	q.now = 0
 }
 
-// less orders arena slots by time, then insertion sequence.
-func (q *EventQueue) less(x, y int32) bool {
-	ex, ey := &q.arena[x], &q.arena[y]
-	if ex.at != ey.at {
-		return ex.at < ey.at
-	}
-	return ex.seq < ey.seq
+// before reports 1 when x fires before y (an earlier time, or the same
+// time and a lower sequence) and 0 otherwise. It compares the (at, seq)
+// keys as one 128-bit subtraction rather than with branches, because
+// which child of a heap node fires first is a coin flip no branch
+// predictor learns. Flipping at's sign bit maps signed order onto
+// unsigned order; seq is always positive.
+func before(x, y *node) int {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(uint64(x.seq), uint64(y.seq), 0)
+	_, borrow = bits.Sub64(uint64(x.at)^sign, uint64(y.at)^sign, borrow)
+	return int(borrow)
 }
+
+// less orders nodes by time, then insertion sequence.
+func less(x, y *node) bool { return before(x, y) != 0 }
 
 // up restores the heap property from leaf i toward the root.
 func (q *EventQueue) up(i int) {
 	h := q.heap
-	id := h[i]
+	ev := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !q.less(id, h[p]) {
+		if !less(&ev, &h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = id
+	h[i] = ev
 }
 
 // down restores the heap property from node i toward the leaves.
 func (q *EventQueue) down(i int) {
 	h := q.heap
 	n := len(h)
-	id := h[i]
+	ev := h[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		c := l
-		if r := l + 1; r < n && q.less(h[r], h[l]) {
-			c = r
+		if l+1 < n {
+			c += before(&h[l+1], &h[l])
 		}
-		if !q.less(h[c], id) {
+		if !less(&h[c], &ev) {
 			break
 		}
 		h[i] = h[c]
 		i = c
 	}
-	h[i] = id
+	h[i] = ev
 }

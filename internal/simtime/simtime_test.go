@@ -85,15 +85,22 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
+// recorder registers a callback on q that appends its first argument
+// to a list, the call-path stand-in for a closure per event.
+func recorder(q *EventQueue) (Handle, *[]int32) {
+	var got []int32
+	return q.Register(func(a, _ int32) { got = append(got, a) }), &got
+}
+
 func TestEventQueueOrdering(t *testing.T) {
 	var q EventQueue
-	var got []int
-	q.Schedule(30, func() { got = append(got, 3) })
-	q.Schedule(10, func() { got = append(got, 1) })
-	q.Schedule(20, func() { got = append(got, 2) })
+	h, got := recorder(&q)
+	q.ScheduleCall(30, h, 3, 0)
+	q.ScheduleCall(10, h, 1, 0)
+	q.ScheduleCall(20, h, 2, 0)
 	q.Run(0)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("events fired out of order: %v", got)
+	if g := *got; len(g) != 3 || g[0] != 1 || g[1] != 2 || g[2] != 3 {
+		t.Fatalf("events fired out of order: %v", g)
 	}
 	if q.Now() != 30 {
 		t.Fatalf("Now = %v, want 30", q.Now())
@@ -102,15 +109,14 @@ func TestEventQueueOrdering(t *testing.T) {
 
 func TestEventQueueFIFOAtSameTime(t *testing.T) {
 	var q EventQueue
-	var got []int
+	h, got := recorder(&q)
 	for i := 0; i < 50; i++ {
-		i := i
-		q.Schedule(5, func() { got = append(got, i) })
+		q.ScheduleCall(5, h, int32(i), 0)
 	}
 	q.Run(0)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events must fire FIFO, got %v", got)
+	for i, v := range *got {
+		if v != int32(i) {
+			t.Fatalf("same-time events must fire FIFO, got %v", *got)
 		}
 	}
 }
@@ -118,14 +124,14 @@ func TestEventQueueFIFOAtSameTime(t *testing.T) {
 func TestEventQueueCascade(t *testing.T) {
 	var q EventQueue
 	count := 0
-	var step func()
-	step = func() {
+	var step Handle
+	step = q.Register(func(_, _ int32) {
 		count++
 		if count < 10 {
-			q.After(Millisecond, step)
+			q.ScheduleCall(q.Now().Add(Millisecond), step, 0, 0)
 		}
-	}
-	q.Schedule(0, step)
+	})
+	q.ScheduleCall(0, step, 0, 0)
 	end := q.Run(0)
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -137,12 +143,12 @@ func TestEventQueueCascade(t *testing.T) {
 
 func TestEventQueueHorizon(t *testing.T) {
 	var q EventQueue
-	fired := 0
-	q.Schedule(Time(Second), func() { fired++ })
-	q.Schedule(Time(3*Second), func() { fired++ })
+	h, got := recorder(&q)
+	q.ScheduleCall(Time(Second), h, 1, 0)
+	q.ScheduleCall(Time(3*Second), h, 3, 0)
 	end := q.Run(Time(2 * Second))
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	if len(*got) != 1 {
+		t.Fatalf("fired = %d, want 1", len(*got))
 	}
 	if end != Time(2*Second) {
 		t.Fatalf("end = %v, want horizon", end)
@@ -155,27 +161,33 @@ func TestEventQueueHorizon(t *testing.T) {
 func TestSchedulePastClamped(t *testing.T) {
 	var q EventQueue
 	var at Time
-	q.Schedule(100, func() {
-		q.Schedule(10, func() { at = q.Now() }) // in the past
+	late := q.Register(func(_, _ int32) { at = q.Now() })
+	first := q.Register(func(_, _ int32) {
+		q.ScheduleCall(10, late, 0, 0) // in the past
 	})
+	q.ScheduleCall(100, first, 0, 0)
 	q.Run(0)
 	if at != 100 {
 		t.Fatalf("past event fired at %v, want clamp to 100", at)
 	}
 }
 
+// TestScheduleCallOrderingInterleaved: two callbacks registered on one
+// queue — the arbiter's tick and a manager's step share the fleet
+// queue this way — must fire in one (time, seq) order, each event into
+// its own callback.
 func TestScheduleCallOrderingInterleaved(t *testing.T) {
-	// ScheduleCall and Schedule events at the same instant must share
-	// one FIFO sequence.
 	var q EventQueue
 	var got []int32
-	record := func(a, _ int32) { got = append(got, a) }
-	q.ScheduleCall(5, record, 0, 0)
-	q.Schedule(5, func() { got = append(got, 1) })
-	q.ScheduleCall(5, record, 2, 0)
-	q.Schedule(3, func() { got = append(got, -1) })
+	tick := q.Register(func(a, _ int32) { got = append(got, a) })
+	step := q.Register(func(a, _ int32) { got = append(got, -a) })
+	q.ScheduleCall(5, tick, 1, 0)
+	q.ScheduleCall(5, step, 2, 0)
+	q.ScheduleCall(5, tick, 3, 0)
+	q.ScheduleCall(3, step, 4, 0)
+	q.ScheduleCall(5, step, 5, 0)
 	q.Run(0)
-	want := []int32{-1, 0, 1, 2}
+	want := []int32{-4, 1, -2, 3, -5}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
@@ -189,7 +201,8 @@ func TestScheduleCallOrderingInterleaved(t *testing.T) {
 func TestScheduleCallArgs(t *testing.T) {
 	var q EventQueue
 	var gotA, gotB int32
-	q.ScheduleCall(7, func(a, b int32) { gotA, gotB = a, b }, 42, -9)
+	h := q.Register(func(a, b int32) { gotA, gotB = a, b })
+	q.ScheduleCall(7, h, 42, -9)
 	q.Run(0)
 	if gotA != 42 || gotB != -9 {
 		t.Fatalf("args (%d, %d), want (42, -9)", gotA, gotB)
@@ -199,12 +212,13 @@ func TestScheduleCallArgs(t *testing.T) {
 	}
 }
 
-func TestEventQueueArenaRecycling(t *testing.T) {
-	// Slots must be recycled through the free list: a drain/refill cycle
-	// keeps the arena at its high-water mark instead of growing.
+func TestEventQueueNodeCapacityBounded(t *testing.T) {
+	// Fired nodes leave the heap array: a drain/refill cycle keeps its
+	// capacity at the high-water mark of pending events instead of
+	// growing with the number of events ever scheduled.
 	var q EventQueue
 	fired := 0
-	cb := func(a, b int32) { fired++ }
+	cb := q.Register(func(a, b int32) { fired++ })
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 100; i++ {
 			q.ScheduleCall(q.Now().Add(Duration(i)), cb, 0, 0)
@@ -214,41 +228,45 @@ func TestEventQueueArenaRecycling(t *testing.T) {
 	if fired != 1000 {
 		t.Fatalf("fired %d, want 1000", fired)
 	}
-	if len(q.arena) > 100 {
-		t.Fatalf("arena grew to %d slots; free-list recycling broken", len(q.arena))
+	if c := cap(q.heap); c > 2*100 {
+		t.Fatalf("node array grew to capacity %d for 100 pending events", c)
+	}
+	if q.Scheduled() != 1000 {
+		t.Fatalf("Scheduled = %d, want 1000", q.Scheduled())
 	}
 }
 
 func TestEventQueueReset(t *testing.T) {
 	var q EventQueue
-	q.Schedule(100, func() { t.Fatal("discarded event fired") })
+	discarded := q.Register(func(_, _ int32) { t.Fatal("discarded event fired") })
+	q.ScheduleCall(100, discarded, 0, 0)
 	q.Reset()
-	if q.Len() != 0 || q.Now() != 0 {
-		t.Fatalf("Reset left len=%d now=%v", q.Len(), q.Now())
+	if q.Len() != 0 || q.Now() != 0 || q.Scheduled() != 0 {
+		t.Fatalf("Reset left len=%d now=%v scheduled=%d", q.Len(), q.Now(), q.Scheduled())
 	}
 	// The queue must be fully usable after Reset, with seq restarting so
-	// ordering stays deterministic.
-	var got []int
-	q.Schedule(5, func() { got = append(got, 1) })
-	q.Schedule(5, func() { got = append(got, 2) })
+	// ordering stays deterministic and registrations kept.
+	h, got := recorder(&q)
+	q.ScheduleCall(5, h, 1, 0)
+	q.ScheduleCall(5, h, 2, 0)
 	q.Run(0)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("post-Reset events fired as %v", got)
+	if g := *got; len(g) != 2 || g[0] != 1 || g[1] != 2 {
+		t.Fatalf("post-Reset events fired as %v", g)
 	}
 }
 
 func TestEventQueueScheduleDuringFire(t *testing.T) {
-	// A callback scheduling into the slot it just vacated must not
+	// A callback scheduling while its own node is being popped must not
 	// corrupt the queue.
 	var q EventQueue
 	var got []int32
-	var cb func(a, b int32)
-	cb = func(a, _ int32) {
+	var cb Handle
+	cb = q.Register(func(a, _ int32) {
 		got = append(got, a)
 		if a < 5 {
 			q.ScheduleCall(q.Now().Add(1), cb, a+1, 0)
 		}
-	}
+	})
 	q.ScheduleCall(0, cb, 0, 0)
 	q.Run(0)
 	if len(got) != 6 || got[5] != 5 {
@@ -256,13 +274,12 @@ func TestEventQueueScheduleDuringFire(t *testing.T) {
 	}
 }
 
-// BenchmarkEventQueue measures a schedule/drain cycle of 1024 events
-// through the indexed-heap arena. The ScheduleCall path must be
-// allocation-free after warm-up.
+// BenchmarkEventQueue measures a schedule/drain cycle of 1024 events.
+// The ScheduleCall path must be allocation-free after warm-up.
 func BenchmarkEventQueue(b *testing.B) {
 	var q EventQueue
 	n := 0
-	cb := func(a, _ int32) { n++ }
+	cb := q.Register(func(a, _ int32) { n++ })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -277,19 +294,49 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueueHold measures the simulator's access pattern: a
+// heap holding about 48 pending events (the mean measured in planner
+// sweeps), where each step pops the earliest event and its callback
+// pushes one replacement at a seeded offset. One op is 1024 steps.
+func BenchmarkEventQueueHold(b *testing.B) {
+	const pending, steps = 48, 1024
+	var offs [256]Duration
+	rng := NewRand(1)
+	for i := range offs {
+		offs[i] = Duration(rng.Intn(int(100 * Millisecond)))
+	}
+	var q EventQueue
+	k := 0
+	var cb Handle
+	cb = q.Register(func(a, _ int32) {
+		k++
+		q.ScheduleCall(q.Now().Add(offs[k&255]), cb, a, 0)
+	})
+	for i := 0; i < pending; i++ {
+		q.ScheduleCall(Time(offs[i]), cb, int32(i), 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < steps; j++ {
+			q.Step()
+		}
+	}
+	if q.Len() != pending {
+		b.Fatalf("%d pending, want %d", q.Len(), pending)
+	}
+}
+
 func TestSnapshotPendingFiringOrder(t *testing.T) {
 	var q EventQueue
-	cb := func(a, b int32) {}
+	cb := q.Register(func(a, b int32) {})
 	// Schedule out of order, with a same-instant pair to pin the
 	// insertion-sequence tiebreak.
 	q.ScheduleCall(30, cb, 3, 30)
 	q.ScheduleCall(10, cb, 1, 10)
 	q.ScheduleCall(20, cb, 2, 20)
 	q.ScheduleCall(10, cb, 4, 40) // same instant as the second event, inserted later
-	evs, ok := q.SnapshotPending(nil)
-	if !ok {
-		t.Fatal("call-only queue must be fingerprintable")
-	}
+	evs := q.SnapshotPending(nil)
 	if len(evs) != 4 {
 		t.Fatalf("snapshot has %d events, want 4", len(evs))
 	}
@@ -301,45 +348,32 @@ func TestSnapshotPendingFiringOrder(t *testing.T) {
 		}
 	}
 	// The snapshot must not disturb execution order.
-	var fired []int32
-	run := func(a, b int32) { fired = append(fired, a) }
 	var q3 EventQueue
+	run, fired := recorder(&q3)
 	q3.ScheduleCall(30, run, 3, 0)
 	q3.ScheduleCall(10, run, 1, 0)
 	q3.ScheduleCall(20, run, 2, 0)
 	q3.ScheduleCall(10, run, 4, 0)
-	if _, ok := q3.SnapshotPending(nil); !ok {
-		t.Fatal("snapshot failed")
-	}
+	q3.SnapshotPending(nil)
 	q3.Run(0)
-	if len(fired) != 4 || fired[0] != 1 || fired[1] != 4 || fired[2] != 2 || fired[3] != 3 {
-		t.Fatalf("post-snapshot firing order %v, want [1 4 2 3]", fired)
-	}
-}
-
-func TestSnapshotPendingClosureEventUnfingerprintable(t *testing.T) {
-	var q EventQueue
-	q.ScheduleCall(10, func(a, b int32) {}, 1, 0)
-	q.Schedule(20, func() {})
-	if _, ok := q.SnapshotPending(nil); ok {
-		t.Fatal("a pending closure event must make the snapshot report ok == false")
+	if f := *fired; len(f) != 4 || f[0] != 1 || f[1] != 4 || f[2] != 2 || f[3] != 3 {
+		t.Fatalf("post-snapshot firing order %v, want [1 4 2 3]", f)
 	}
 }
 
 func TestSnapshotPendingReusesBuffer(t *testing.T) {
 	var q EventQueue
-	cb := func(a, b int32) {}
+	cb := q.Register(func(a, b int32) {})
 	for i := 0; i < 8; i++ {
 		q.ScheduleCall(Time(i), cb, int32(i), 0)
 	}
-	buf, ok := q.SnapshotPending(nil)
-	if !ok || len(buf) != 8 {
-		t.Fatalf("snapshot = %d events, ok=%v", len(buf), ok)
+	buf := q.SnapshotPending(nil)
+	if len(buf) != 8 {
+		t.Fatalf("snapshot = %d events, want 8", len(buf))
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		var ok2 bool
-		buf, ok2 = q.SnapshotPending(buf)
-		if !ok2 || len(buf) != 8 {
+		buf = q.SnapshotPending(buf)
+		if len(buf) != 8 {
 			t.Fatal("warm snapshot changed")
 		}
 	})
@@ -352,7 +386,7 @@ func TestShiftPendingAdvancesClockEventsAndArgs(t *testing.T) {
 	var fired []int32
 	var at []Time
 	var q EventQueue
-	run := func(a, b int32) { fired = append(fired, a, b); at = append(at, q.Now()) }
+	run := q.Register(func(a, b int32) { fired = append(fired, a, b); at = append(at, q.Now()) })
 	q.ScheduleCall(10, run, 1, 100)
 	q.ScheduleCall(10, run, 2, 200)
 	q.ScheduleCall(30, run, 3, 300)
@@ -384,7 +418,8 @@ func TestShiftPendingAdvancesClockEventsAndArgs(t *testing.T) {
 func TestShiftPendingNilRewrite(t *testing.T) {
 	var got []int32
 	var q EventQueue
-	q.ScheduleCall(10, func(a, b int32) { got = append(got, a, b) }, 7, 70)
+	h := q.Register(func(a, b int32) { got = append(got, a, b) })
+	q.ScheduleCall(10, h, 7, 70)
 	q.ShiftPending(20, nil)
 	q.Run(0)
 	if q.Now() != 30 {

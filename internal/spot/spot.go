@@ -302,20 +302,20 @@ type Sample struct {
 // probeLoop drives a market probe cadence through the simulated event
 // queue, keeping the market on the same clock machinery as the rest
 // of the system: body runs once per probe interval from time 0
-// through horizon inclusive. The tick callback is bound once and
-// rescheduled through the queue's ScheduleCall path, so a multi-day
-// trace generates no per-tick closures.
+// through horizon inclusive. The tick callback is registered once and
+// rescheduled by handle, so a multi-day trace generates no per-tick
+// closures.
 type probeLoop struct {
 	hz     simtime.Time
 	probe  simtime.Duration
 	q      simtime.EventQueue
-	onTick func(a, b int32)
+	onTick simtime.Handle
 	body   func(t simtime.Time)
 }
 
 func runProbeLoop(horizon, probe simtime.Duration, body func(t simtime.Time)) {
 	l := &probeLoop{hz: simtime.Time(horizon), probe: probe, body: body}
-	l.onTick = l.tick
+	l.onTick = l.q.Register(l.tick)
 	l.q.ScheduleCall(0, l.onTick, 0, 0)
 	l.q.Run(0)
 }
