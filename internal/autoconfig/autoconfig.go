@@ -11,7 +11,6 @@ package autoconfig
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -350,32 +349,6 @@ func (dp *depthPlan) evaluate(in Inputs, cache *costCache) (Choice, error) {
 	return best, nil
 }
 
-// ceiling bounds from above the throughput dp.evaluate can return:
-// per micro-batch size, Examples over the cached estimate when the
-// cache holds one at this Nm (exact), else over
-// sim.MakespanLowerBound (never above the estimate), and +Inf when the
-// bound offers nothing or the costs fail to assemble (evaluate then
-// meets the same error). The costs it assembles or finds cached stay
-// on dp, so evaluating dp later rebuilds none.
-func (dp *depthPlan) ceiling(in Inputs, cache *costCache) float64 {
-	ceil := 0.0
-	for i := range dp.micros {
-		mp := &dp.micros[i]
-		costs, est, exact, err := cache.costsFor(in, dp, *mp)
-		if err != nil {
-			return math.Inf(1)
-		}
-		mp.costs = costs
-		if !exact {
-			if est = sim.MakespanLowerBound(simConfig(dp.p, mp.nm, costs)); est <= 0 {
-				return math.Inf(1)
-			}
-		}
-		ceil = max(ceil, dp.choice(*mp, est).TotalExPerSec())
-	}
-	return ceil
-}
-
 // pruneMicroSizes ranks the memory-feasible profiled micro-batch sizes
 // by an analytic throughput score — kernel time per example times the
 // fill/drain bubble factor — and keeps the top three for simulation.
@@ -552,75 +525,6 @@ func top(out []Choice) Choice {
 		}
 	}
 	return t
-}
-
-// boundedBest returns exactly what Best does, as a branch-and-bound
-// over the depths a sweep evaluates. Each depth gets a throughput
-// ceiling (depthPlan.ceiling); depths are simulated in descending
-// ceiling order, ties in ascending D, and the walk stops at the first
-// ceiling strictly below the best throughput simulated so far. Every
-// depth left has a ceiling that low, so none can match the winner, let
-// alone beat it: every depth reaching the top throughput is simulated,
-// and top over the simulated depths in ascending-D order breaks ties
-// as Best does. Whole depths are skipped, never single micro-batch
-// sizes, so a depth that a sweep drops because one of its sizes errors
-// is dropped here too.
-//
-// The walk is serial on purpose: which depths are simulated depends
-// only on the inputs and the cache contents, never on GOMAXPROCS or
-// goroutine timing. boundedBest also reports how many depths the
-// bound skipped.
-func boundedBest(in Inputs, g int, cache *costCache) (Choice, int, error) {
-	shapes, err := sweepShapes(in, g)
-	if err != nil {
-		return Choice{}, 0, err
-	}
-	type depth struct {
-		plan    depthPlan
-		ceil    float64
-		choice  Choice
-		reached bool // simulated without error
-	}
-	var depths []depth // in sweep order (ascending D)
-	for _, sh := range shapes {
-		dp, err := planDepth(in, sh.p, sh.d)
-		if err != nil || len(dp.micros) == 0 {
-			// evaluate fails here without simulating: a sweep drops
-			// the depth.
-			continue
-		}
-		depths = append(depths, depth{plan: dp, ceil: dp.ceiling(in, cache)})
-	}
-	order := make([]int, len(depths))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return depths[order[a]].ceil > depths[order[b]].ceil })
-	skips := 0
-	bestTP := math.Inf(-1)
-	for k, i := range order {
-		dep := &depths[i]
-		if dep.ceil < bestTP {
-			skips = len(order) - k
-			break
-		}
-		c, err := dep.plan.evaluate(in, cache)
-		if err != nil {
-			continue // does not fit at this depth, as in the sweep
-		}
-		dep.choice, dep.reached = c, true
-		bestTP = max(bestTP, c.TotalExPerSec())
-	}
-	var out []Choice
-	for _, dep := range depths {
-		if dep.reached {
-			out = append(out, dep.choice)
-		}
-	}
-	if len(out) == 0 {
-		return Choice{}, skips, errNoFit(in, g)
-	}
-	return top(out), skips, nil
 }
 
 func humanBytes(n int64) string {

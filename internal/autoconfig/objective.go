@@ -85,8 +85,10 @@ func (o Objective) Validate() error {
 	case ObjMaxThroughput, ObjMinDollarPerExample:
 		return nil
 	case ObjDeadline:
-		if o.DeadlineAt <= 0 || o.TargetExamples <= 0 {
-			return fmt.Errorf("autoconfig: deadline objective needs DeadlineAt and TargetExamples")
+		// A NaN target would make every candidate clear the required
+		// rate.
+		if o.DeadlineAt <= 0 || !(o.TargetExamples > 0) || math.IsInf(o.TargetExamples, 1) {
+			return fmt.Errorf("autoconfig: deadline objective needs DeadlineAt and a finite positive TargetExamples")
 		}
 		return nil
 	default:
@@ -151,59 +153,6 @@ func (ec Econ) EffectiveExPerSec(c Choice) float64 {
 // to price excursions, not a permanent opt-out of capacity.
 const marginalSlack = 1.5
 
-// shrinkLevels are the fleet fractions whose sweeps seed the shrink
-// candidate set (see candidatesFor).
-var shrinkLevels = [...]struct{ num, den int }{{1, 1}, {3, 4}, {1, 2}, {1, 4}}
-
-// candidatesFor assembles the candidate set of a dollar-aware
-// decision. A single Sweep(g) mostly yields shapes that use nearly
-// the whole fleet (for every D the deepest feasible P dominates at
-// that D), so it offers little room to *shrink*; sweeping a few
-// smaller fleet levels too gives the objective real exit points when
-// the price makes capacity uneconomical. Levels that don't fit the
-// model are skipped; duplicates (the same P×D reappears across
-// levels) keep their first, identical evaluation. All sweeps run
-// through the Planner's lifetime caches, so the added levels are
-// cheap arithmetic on a warm planner.
-func (pl *Planner) candidatesFor(g int) ([]Choice, error) {
-	seen := make(map[[2]int]bool)
-	var out []Choice
-	var firstErr error
-	for _, lv := range shrinkLevels {
-		lg := g * lv.num / lv.den
-		if lg < 1 {
-			continue
-		}
-		cands, err := pl.Sweep(lg)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		for _, c := range cands {
-			key := [2]int{c.P, c.D}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, c)
-		}
-	}
-	if len(out) == 0 {
-		if firstErr == nil {
-			// g = 0 skips every shrink level before a sweep can even
-			// run: surface the same dead-fleet error Sweep(0) would.
-			firstErr = fmt.Errorf("autoconfig: no GPUs")
-		}
-		return nil, firstErr
-	}
-	// Deterministic walk order: ascending throughput, ties broken
-	// toward fewer GPUs then shallower pipelines.
-	sortChoices(out)
-	return out, nil
-}
-
 // sortChoices orders candidates by ascending throughput (GPUs, then
 // P, as tiebreaks) — the order the marginal-economics walk climbs.
 func sortChoices(cs []Choice) {
@@ -225,6 +174,45 @@ func lessChoice(a, b Choice) bool {
 	return a.P < b.P
 }
 
+// baselineCost reports the job's best achievable mean-price
+// $/example across the candidate set (+Inf when nothing produces),
+// and the index achieving it. This is the reference the marginal
+// admission rule and the hold-vs-morph surplus valuation both price
+// against — one yardstick, so selection and switching decisions
+// cannot contradict each other.
+func baselineCost(cands []Choice, ec Econ) (int, float64) {
+	meanRate := ec.baselineRate()
+	best, cost := -1, math.Inf(1)
+	for i, c := range cands {
+		ex := ec.EffectiveExPerSec(c)
+		if ex <= 0 {
+			continue
+		}
+		sigma := dollarsPerExample(meanRate, c.GPUsUsed, ex)
+		if best < 0 || sigma < cost {
+			best, cost = i, sigma
+		}
+	}
+	return best, cost
+}
+
+// baselineRate is the $/GPU·hour baselineCost prices at: the long-run
+// mean, or the spot price when no mean is known.
+func (ec Econ) baselineRate() float64 {
+	rate := ec.MeanPerGPUHour
+	if rate <= 0 {
+		rate = ec.PerGPUHour
+	}
+	return rate
+}
+
+// dollarsPerExample prices ex examples/s on gpus GPUs at rate
+// $/GPU·hour. For a positive rate it can only fall as ex grows, which
+// is what lets a throughput ceiling floor a depth's σ.
+func dollarsPerExample(rate float64, gpus int, ex float64) float64 {
+	return rate * float64(gpus) / (3600 * ex)
+}
+
 // minDollarChoice selects the configuration minimizing dollars per
 // example at the current price, SWARM-style marginal economics: start
 // from the most GPU-efficient shape (the best $/example regardless of
@@ -235,36 +223,8 @@ func lessChoice(a, b Choice) bool {
 // passes; when the price spikes, the same marginal replicas price
 // above the mean-price baseline and the choice walks back down — the
 // shrink the objective exists for.
-// baselineCost reports the job's best achievable mean-price
-// $/example across the candidate set (+Inf when nothing produces),
-// and the index achieving it. This is the reference the marginal
-// admission rule and the hold-vs-morph surplus valuation both price
-// against — one yardstick, so selection and switching decisions
-// cannot contradict each other.
-func baselineCost(cands []Choice, ec Econ) (int, float64) {
-	meanRate := ec.MeanPerGPUHour
-	if meanRate <= 0 {
-		meanRate = ec.PerGPUHour
-	}
-	best, cost := -1, math.Inf(1)
-	for i, c := range cands {
-		ex := ec.EffectiveExPerSec(c)
-		if ex <= 0 {
-			continue
-		}
-		sigma := meanRate * float64(c.GPUsUsed) / (3600 * ex)
-		if best < 0 || sigma < cost {
-			best, cost = i, sigma
-		}
-	}
-	return best, cost
-}
-
 func minDollarChoice(cands []Choice, ec Econ) Choice {
-	meanRate := ec.MeanPerGPUHour
-	if meanRate <= 0 {
-		meanRate = ec.PerGPUHour
-	}
+	meanRate := ec.baselineRate()
 	rate := ec.PerGPUHour
 	if rate <= 0 {
 		rate = meanRate
@@ -368,7 +328,10 @@ func deadlineChoice(cands []Choice, obj Objective, ec Econ) Choice {
 // caching); the dollar objectives select over the shrink-augmented
 // candidate set and are not memoized per fleet size — the right
 // answer moves with the price — but every underlying evaluation still
-// comes from the lifetime cost cache.
+// comes from the lifetime cost cache. A dollar decision counts as one
+// sweep and simulates only the candidates its rule cannot rule out by
+// a makespan bound (boundedDollar); the decision, error included, is
+// exactly the one over the full candidate set.
 func (pl *Planner) BestFor(g int, obj Objective, ec Econ) (Choice, error) {
 	c, _, err := pl.bestForEcon(g, obj, ec)
 	return c, err
@@ -385,18 +348,28 @@ func (pl *Planner) bestForEcon(g int, obj Objective, ec Econ) (Choice, float64, 
 		c, err := pl.Best(g)
 		return c, 0, err
 	}
-	cands, err := pl.candidatesFor(g)
+	in, cache, done := pl.startSweep()
+	cands, skips, err := boundedDollar(in, g, obj, ec, cache)
+	done(skips)
 	if err != nil {
 		return Choice{}, 0, err
 	}
+	c, baseline := pickDollar(cands, obj, ec)
+	return c, baseline, nil
+}
+
+// pickDollar applies obj's selection rule to candidates in
+// sortChoices order, returning the choice and the baseline mean-price
+// $/example (zero when nothing produces).
+func pickDollar(cands []Choice, obj Objective, ec Econ) (Choice, float64) {
 	_, baseline := baselineCost(cands, ec)
 	if math.IsInf(baseline, 1) {
 		baseline = 0
 	}
 	if obj.Kind == ObjDeadline {
-		return deadlineChoice(cands, obj, ec), baseline, nil
+		return deadlineChoice(cands, obj, ec), baseline
 	}
-	return minDollarChoice(cands, ec), baseline, nil
+	return minDollarChoice(cands, ec), baseline
 }
 
 // BestOrHoldObjective is the objective-aware BestOrHold.

@@ -1,6 +1,7 @@
 package autoconfig
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -28,6 +29,12 @@ func TestObjectiveValidate(t *testing.T) {
 	}
 	if (Objective{Kind: ObjDeadline}).Validate() == nil {
 		t.Fatal("deadline without target must fail")
+	}
+	for _, target := range []float64{math.NaN(), math.Inf(1), -1} {
+		bad := Objective{Kind: ObjDeadline, DeadlineAt: simtime.Time(simtime.Hour), TargetExamples: target}
+		if bad.Validate() == nil {
+			t.Fatalf("deadline with target %v must fail", target)
+		}
 	}
 	ok := Objective{Kind: ObjDeadline, DeadlineAt: simtime.Time(simtime.Hour), TargetExamples: 1e6}
 	if err := ok.Validate(); err != nil {

@@ -89,8 +89,9 @@ func NewPlannerCapped(in Inputs, costEntries, decisions int) *Planner {
 	}
 }
 
-// SetObserver points the Planner at a metrics registry. Each Sweep
-// then self-profiles its wall-clock latency into the
+// SetObserver points the Planner at a metrics registry. Each sweep (a
+// Sweep, a Best memo miss or a dollar BestFor decision) then
+// self-profiles its wall-clock latency into the
 // "wall.planner.sweep_us" histogram — the ROADMAP item 2 measurement
 // baseline — and Best(g) memo lookups count into
 // "planner.decision_{hits,misses}". A nil registry (the default)
@@ -150,25 +151,31 @@ func sameCuts(a, b []model.CutPoint) bool {
 // bit-identical to the stateless Sweep.
 func (pl *Planner) Sweep(g int) ([]Choice, error) {
 	in, cache, done := pl.startSweep()
-	defer done()
+	defer done(0)
 	return sweepWorkers(in, g, runtime.GOMAXPROCS(0), cache)
 }
 
 // startSweep counts one sweep and returns the inputs and cache to run
-// it on, plus a func to call when it ends, which observes its wall time
-// when an observer is set.
-func (pl *Planner) startSweep() (Inputs, *costCache, func()) {
+// it on, plus a func to call when it ends with the number of depths
+// its bound skipped, which also observes its wall time when an
+// observer is set.
+func (pl *Planner) startSweep() (Inputs, *costCache, func(skips int)) {
 	pl.mu.Lock()
 	in, cache, met := pl.in, pl.cache, pl.met
 	pl.sweeps++
 	pl.mu.Unlock()
-	if !met.Enabled() {
-		return in, cache, func() {}
+	var start time.Time
+	if met.Enabled() {
+		start = time.Now()
 	}
-	start := time.Now()
-	return in, cache, func() {
-		met.Observe("wall.planner.sweep_us", float64(time.Since(start).Microseconds()))
-		met.Count("planner.sweeps", 1)
+	return in, cache, func(skips int) {
+		pl.mu.Lock()
+		pl.skips += uint64(skips)
+		pl.mu.Unlock()
+		if met.Enabled() {
+			met.Observe("wall.planner.sweep_us", float64(time.Since(start).Microseconds()))
+			met.Count("planner.sweeps", 1)
+		}
 	}
 }
 
@@ -204,10 +211,9 @@ func (pl *Planner) Best(g int) (Choice, error) {
 
 	in, cache, done := pl.startSweep()
 	choice, skips, err := boundedBest(in, g, cache)
-	done()
+	done(skips)
 
 	pl.mu.Lock()
-	pl.skips += uint64(skips)
 	pl.dec.Put(g, plannerDecision{choice: choice, err: err})
 	pl.mu.Unlock()
 	return choice, err
@@ -237,14 +243,17 @@ func (pl *Planner) Stats() PlannerStats {
 // reconfiguration decisions cost far less than the work they
 // reschedule.
 type PlannerStats struct {
-	// Sweeps counts Sweep invocations and Best memo misses.
+	// Sweeps counts Sweep invocations, Best memo misses and dollar
+	// BestFor decisions: one each, though a dollar decision's
+	// candidate set spans four fleet levels.
 	Sweeps uint64
 	// CostHits and CostMisses count the cost-cache lookups of
 	// candidates about to be simulated; a miss runs the simulator.
 	CostHits, CostMisses uint64
 	// CostComputes counts actual calibrate.Params.StageCosts
-	// assemblies, including those only Best's bound needed; a second
-	// sweep of the same fleet performs zero.
+	// assemblies, including those only a decision's bound needed
+	// (those are not cached); a second sweep of the same fleet
+	// performs zero.
 	CostComputes uint64
 	// SimAnchorRuns counts candidates whose anchor simulations ran
 	// (cache misses that reached the simulator).
@@ -258,8 +267,9 @@ type PlannerStats struct {
 	DecisionEvictions uint64
 	// Invalidations counts SetInputs calls that reset the caches.
 	Invalidations uint64
-	// BoundSkips counts the depths Best did not simulate because
-	// their throughput bound fell below a simulated depth's.
+	// BoundSkips counts the depths a Best or dollar BestFor decision
+	// did not simulate because their makespan bound ruled them out of
+	// the decision rule.
 	BoundSkips uint64
 }
 

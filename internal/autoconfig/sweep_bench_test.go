@@ -11,14 +11,18 @@ import (
 
 func benchInputs(b *testing.B) Inputs {
 	b.Helper()
-	spec := model.GPT2Megatron8B()
+	return benchInputsFor(b, model.GPT2Megatron8B(), 71)
+}
+
+func benchInputsFor(b *testing.B, spec *model.Spec, k int) Inputs {
+	b.Helper()
 	cluster := hw.SpotCluster(hw.NC6v3, 300)
 	tb := testbed.New(cluster, 21)
 	params, err := calibrate.Run(spec, tb, calibrate.Options{GPUsPerNode: cluster.VM.GPUs})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cuts, err := model.FindCutPoints(spec, 71)
+	cuts, err := model.FindCutPoints(spec, k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,6 +61,41 @@ func BenchmarkPlannerBestCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewPlanner(in).Best(128); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBestForMinDollarCold measures one min-$/example decision for
+// a 40-GPU 2.5B job at the mean price on a fresh Planner: the bounded
+// candidate set of the four shrink levels, simulated serially where
+// the bounds cannot rule depths out.
+func BenchmarkBestForMinDollarCold(b *testing.B) {
+	in := benchInputsFor(b, model.GPT2XL2B(), 53)
+	obj, ec := Objective{Kind: ObjMinDollarPerExample}, Econ{PerGPUHour: 2.4, MeanPerGPUHour: 2.4}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPlanner(in).BestFor(40, obj, ec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBestForMinDollarWarm repeats that decision on one Planner
+// that has made it before, as a fleet's long-lived planner does: every
+// cost key the decision simulates is cached.
+func BenchmarkBestForMinDollarWarm(b *testing.B) {
+	in := benchInputsFor(b, model.GPT2XL2B(), 53)
+	obj, ec := Objective{Kind: ObjMinDollarPerExample}, Econ{PerGPUHour: 2.4, MeanPerGPUHour: 2.4}
+	pl := NewPlanner(in)
+	if _, err := pl.BestFor(40, obj, ec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.BestFor(40, obj, ec); err != nil {
 			b.Fatal(err)
 		}
 	}

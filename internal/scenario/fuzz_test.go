@@ -62,6 +62,9 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(miniFleet))
 	f.Add([]byte("version: 1\nname: x\njob:\n  cluster-gpus: 8\nmarket:\n  base-capacity: 10\nrun:\n  target-gpus: 8\n  horizon: 1h\n"))
 	f.Add([]byte("version: 1\nfleet:\n  horizon: 1h\njobs:\n  - name: a\n"))
+	// Non-finite numbers must fail to decode: a decoded NaN would also
+	// compare unequal to itself below.
+	f.Add([]byte("version: 1\nname: x\njob:\n  cluster-gpus: 8\nmarket:\n  base-capacity: 10\nrun:\n  target-gpus: 8\n  horizon: 1h\n  objective: deadline\n  deadline-at: NaNh\n  target-examples: NaN\nprices:\n  kind: constant\n  per-gpu-hour: Inf\n"))
 	f.Add([]byte("version: 1\nname: t\njob:\n  cluster-gpus: 8\n  topology:\n    zones: 4\n    racks-per-zone: 2\n    nodes-per-rack: 2\ncheckpoint:\n  replicas: 2\n  spread: rack\nmarket:\n  base-capacity: 10\nrun:\n  target-gpus: 8\n  horizon: 2h\nevents:\n  - at: 1h\n    kind: rack-outage\nchaos:\n  seed: 5\n  zone-outage-every: 45m\n  rack-outage-every: 90m\n"))
 	f.Add([]byte("version: 1\nname: fz\nfleet:\n  horizon: 2h\n  zones: 4\nmarket:\n  base-capacity: 10\njobs:\n  - name: a\n    cluster-gpus: 8\n    target-gpus: 8\nevents:\n  - at: 1h\n    kind: zone-outage\n    domain: 2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

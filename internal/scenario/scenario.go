@@ -18,6 +18,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -1009,9 +1010,9 @@ func (s *section) float(k string, def float64) float64 {
 	if !ok {
 		return def
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		s.d.errf("%s: %q is not a number", s.key(k), v)
+	f, ok := parseFinite(v)
+	if !ok {
+		s.d.errf("%s: %q is not a finite number", s.key(k), v)
 		return def
 	}
 	return f
@@ -1059,9 +1060,9 @@ func (s *section) frange(k string, def [2]float64) [2]float64 {
 	var out [2]float64
 	for i, e := range l {
 		str, _ := e.(string)
-		f, err := strconv.ParseFloat(str, 64)
-		if err != nil {
-			s.d.errf("%s: %q is not a number", s.key(k), str)
+		f, ok := parseFinite(str)
+		if !ok {
+			s.d.errf("%s: %q is not a finite number", s.key(k), str)
 			return def
 		}
 		out[i] = f
@@ -1083,8 +1084,16 @@ func (s *section) done() {
 	}
 }
 
+// parseFinite parses a decimal number, refusing NaN and infinities
+// (strconv accepts "NaN", "Inf" and out-of-range values as ±Inf).
+func parseFinite(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
+}
+
 // parseDuration parses single-unit durations: "90s", "10m", "24h",
-// "1.5h", "500ms", "0".
+// "1.5h", "500ms", "0". The value must be finite and fit in a
+// simtime.Duration.
 func parseDuration(s string) (simtime.Duration, error) {
 	if s == "0" {
 		return 0, nil
@@ -1103,11 +1112,15 @@ func parseDuration(s string) (simtime.Duration, error) {
 			continue
 		}
 		num := strings.TrimSuffix(s, u.suffix)
-		f, err := strconv.ParseFloat(num, 64)
-		if err != nil {
+		f, ok := parseFinite(num)
+		if !ok {
 			break
 		}
-		return simtime.Duration(f*float64(u.unit) + 0.5), nil
+		// Converting a value outside int64 is implementation-defined.
+		if v := f*float64(u.unit) + 0.5; v >= -(1<<63) && v < 1<<63 {
+			return simtime.Duration(v), nil
+		}
+		return 0, fmt.Errorf("%q is out of range", s)
 	}
 	return 0, fmt.Errorf("%q is not a duration (use e.g. 30s, 10m, 1.5h)", s)
 }

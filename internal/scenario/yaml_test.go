@@ -79,7 +79,7 @@ func TestParseDuration(t *testing.T) {
 			t.Errorf("parseDuration(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "10", "3d", "h", "1.5"} {
+	for _, bad := range []string{"", "10", "3d", "h", "1.5", "NaNh", "Infh", "-Infs", "1e400ms", "1e12h", "-1e12h"} {
 		if _, err := parseDuration(bad); err == nil {
 			t.Errorf("parseDuration(%q) should fail", bad)
 		}
@@ -158,6 +158,13 @@ func TestParseScenarioStrict(t *testing.T) {
 		{"bad-kind", "kind: straggler", "kind: slowpoke", "not one of"},
 		{"bad-factor", "factor: 1.12", "factor: 0.9", "factor must exceed 1"},
 		{"bad-bool", "measure-stragglers: true", "measure-stragglers: yes", "not true/false"},
+		{"nan-factor", "factor: 1.12", "factor: NaN", `events[1].factor: "NaN" is not a finite number`},
+		{"inf-mean", "mean: 2.40", "mean: Inf", `prices.mean: "Inf" is not a finite number`},
+		{"overflow-vol", "vol: 0.18", "vol: 1e400", `prices.vol: "1e400" is not a finite number`},
+		{"nan-target", "manager-seed: 13", "manager-seed: 13\n  target-examples: NaN", `run.target-examples: "NaN" is not a finite number`},
+		{"nan-range", "degrades-per-hour: 1", "degrades-per-hour: 1\n  straggler-factor: [1.05, NaN]", `chaos.straggler-factor: "NaN" is not a finite number`},
+		{"nan-duration", "horizon: 6h", "horizon: NaNh", `run.horizon: "NaNh" is not a duration`},
+		{"overflow-duration", "duration: 20m", "duration: 1e12h", `events[2].duration: "1e12h" is out of range`},
 	} {
 		doc := strings.Replace(miniScenario, tc.old, tc.new, 1)
 		if doc == miniScenario {
