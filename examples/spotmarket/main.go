@@ -5,46 +5,66 @@
 // per-GPU throughput stays level while the fleet swings. The market
 // carries a spot price curve, so the run is also metered in dollars —
 // compute vs reconfiguration downtime vs idle capacity.
+//
+// The run is an inline scenario: the same document, saved to a file,
+// replays with `varuna-sim run <file>`.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/hw"
-	"repro/internal/model"
-	"repro/internal/price"
-	"repro/internal/simtime"
-	"repro/internal/spot"
+	"repro/internal/scenario"
 )
 
+// spotRun is a spot market with ~120 spare GPUs on average, swinging
+// over an 8-hour datacenter load cycle, priced by a mean-reverting spot
+// curve around $2.40/GPU·h. The manager measures on the job's own
+// testbed and seeds its morph-or-hold horizon from the market's
+// analytic hazard.
+const spotRun = `
+version: 1
+name: spotmarket
+description: 24 hours of GPT-2 2.5B on priced spot 1-GPU VMs
+
+job:
+  model: GPT2-2.5B
+  vm-gpus: 1
+  cluster-gpus: 150
+  batch: 8192
+  seed: 5
+
+market:
+  base-capacity: 120
+  seed: 11
+
+run:
+  target-gpus: 150
+  horizon: 24h
+  manager-seed: 13
+  testbed: job
+  gap-prior: market
+
+prices:
+  kind: mean-reverting
+  mean: 2.40
+  vol: 0.18
+  reversion: 0.12
+  seed: 12
+`
+
 func main() {
-	spec := model.GPT2XL2B()
-	const target = 150
-	cluster := hw.SpotCluster(hw.NC6v3, target)
-
-	job, err := core.NewJob(spec, cluster, 8192, 5)
+	sc, err := scenario.Parse([]byte(spotRun))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// A spot market with ~120 spare GPUs on average, swinging over an
-	// 8-hour datacenter load cycle, priced by a mean-reverting spot
-	// curve around $2.40/GPU·h.
-	mk := spot.NewMarket(1, 120, 11)
-	mk.Prices, err = price.MeanReverting(price.MROptions{
-		Mean: 2.40, Vol: 0.18, Reversion: 0.12, Horizon: 24 * simtime.Hour,
-	}, 12)
+	res, err := scenario.Run(sc, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	points, stats, err := job.RunOnSpotMarket(mk, target, 24*simtime.Hour, 13)
-	if err != nil {
-		log.Fatal(err)
-	}
+	points, stats := res.Points, res.Stats
 
-	fmt.Printf("24 hours of %s on spot 1-GPU VMs (target %d GPUs)\n\n", spec.Name, target)
+	fmt.Printf("24 hours of %s on spot 1-GPU VMs (target %d GPUs)\n\n", res.Compiled.Job.Spec.Name, sc.Run.TargetGPUs)
 	fmt.Printf("%-7s %-5s %-9s %-11s %-9s %s\n", "time", "GPUs", "config", "total ex/s", "per-GPU", "event")
 	for _, p := range points {
 		if p.Config.GPUsUsed == 0 {

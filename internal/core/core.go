@@ -1,9 +1,11 @@
 // Package core is Varuna's top-level API: it ties together cut-point
 // identification (§5.1), scale-invariant calibration (§4.3), the
-// parametrized simulator (§4.4), job morphing (§4.2) and the manager
-// (§4.6) behind a single Job type. A user describes a model and a
-// resource pool; Varuna works out how to run it and keeps it running
-// as spot capacity comes and goes.
+// parametrized simulator (§4.4) and job morphing (§4.2) behind a
+// single Job type. A user describes a model and a resource pool;
+// Varuna works out how to run it. The §4.6 manager keeps it running
+// as spot capacity comes and goes, planning with the Job's inputs,
+// testbed and lifetime planner; a scenario file (internal/scenario)
+// describes such a run.
 //
 //	job, _ := core.NewJob(model.GPT2Megatron8B(), hw.SpotCluster(hw.NC6v3, 300), 8192, 1)
 //	cfg, _ := job.BestConfig(300)       // e.g. 18x16
@@ -17,11 +19,9 @@ import (
 	"repro/internal/autoconfig"
 	"repro/internal/calibrate"
 	"repro/internal/hw"
-	"repro/internal/manager"
 	"repro/internal/model"
 	"repro/internal/schedule"
 	"repro/internal/simtime"
-	"repro/internal/spot"
 	"repro/internal/testbed"
 )
 
@@ -147,39 +147,4 @@ func (j *Job) jobConfig(c autoconfig.Choice) testbed.JobConfig {
 		Nm:     c.Nm,
 		D:      c.D,
 	}
-}
-
-// RunOnSpotMarket drives the job through a spot-market trace with the
-// Varuna manager under default options: morphing on fleet changes
-// (priced by the restart cost model, held when unprofitable),
-// checkpoint rollbacks on preemption, straggler exclusion (§4.6,
-// Figure 8). The manager plans with the job's lifetime Planner, so
-// morph decisions stay cached across repeated runs on the same Job.
-func (j *Job) RunOnSpotMarket(mk *spot.Market, targetGPUs int, horizon simtime.Duration, seed int64) ([]manager.TimelinePoint, manager.Stats, error) {
-	return j.RunOnSpotMarketOpts(mk, targetGPUs, horizon, seed, manager.DefaultOptions())
-}
-
-// RunOnSpotMarketOpts is RunOnSpotMarket with explicit manager options
-// (reconfiguration pricing policy, checkpoint cadence, thresholds).
-// When the caller leaves EventGapPrior unset, the morph-or-hold
-// horizon is seeded from the market's own analytic hazard — the
-// expected time to the next fleet event for a fleet at the target
-// size — until observed gaps take over.
-func (j *Job) RunOnSpotMarketOpts(mk *spot.Market, targetGPUs int, horizon simtime.Duration, seed int64, opts manager.Options) ([]manager.TimelinePoint, manager.Stats, error) {
-	if opts.Prices == nil && opts.Meter == nil {
-		// A priced market carries its own curve; dollars are then
-		// accounted (and dollar objectives decidable) without the
-		// caller re-plumbing it.
-		opts.Prices = mk.Prices
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, manager.Stats{}, err
-	}
-	if opts.EventGapPrior <= 0 {
-		vms := (targetGPUs + mk.GPUsPerVM - 1) / mk.GPUsPerVM
-		opts.EventGapPrior = mk.ExpectedNextEvent(0, vms)
-	}
-	events := spot.EventTrace(mk, targetGPUs, horizon, 10*simtime.Minute)
-	mg := manager.NewWithPlanner(j.in, j.tb, j.planner, opts, seed)
-	return mg.RunTimeline(events, horizon)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/manager"
 	"repro/internal/model"
 	"repro/internal/schedule"
 	"repro/internal/simtime"
@@ -62,13 +63,18 @@ func TestJobEndToEnd(t *testing.T) {
 	}
 }
 
+// TestJobSpotMarket drives a manager from the Job's inputs, testbed
+// and lifetime planner over a spot-market trace, the wiring the
+// scenario compiler uses.
 func TestJobSpotMarket(t *testing.T) {
 	job, err := NewJob(model.GPT2XL2B(), hw.SpotCluster(hw.NC6v3, 150), 8192, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := spot.NewMarket(1, 120, 11)
-	points, stats, err := job.RunOnSpotMarket(mk, 150, 8*simtime.Hour, 13)
+	horizon := 8 * simtime.Hour
+	events := spot.EventTrace(spot.NewMarket(1, 120, 11), 150, horizon, 10*simtime.Minute)
+	mg := manager.NewWithPlanner(job.Inputs(), job.Testbed(), job.Planner(), manager.DefaultOptions(), 13)
+	points, stats, err := mg.RunTimeline(events, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,19 +72,14 @@ func sparkline(label string, tr []spot.Trace, maxGPUs int) string {
 
 // Fig8Morphing reproduces Figure 8: the 2.5B model training on a
 // volatile 1-GPU spot fleet for 60 hours, with the manager morphing
-// configurations as VMs come and go.
+// configurations as VMs come and go. The run is the committed
+// elastic.yaml scenario.
 func Fig8Morphing(x *Ctx) (*Table, error) {
-	spec := model.GPT2XL2B()
-	cluster := hw.SpotCluster(hw.NC6v3, 150)
-	job, err := x.sharedJob(spec, cluster, 8192, 54)
+	res, err := x.runScenario("elastic.yaml", nil)
 	if err != nil {
 		return nil, err
 	}
-	mk := spot.NewMarket(1, 120, 55)
-	points, stats, err := job.RunOnSpotMarket(mk, 150, 60*simtime.Hour, 56)
-	if err != nil {
-		return nil, err
-	}
+	points, stats := res.Points, res.Stats
 	t := &Table{
 		Title:  "Figure 8: 60-hour dynamic timeline, GPT-2 2.5B on spot 1-GPU VMs",
 		Header: []string{"Time", "GPUs", "Config", "Total ex/s", "Ex/s/GPU", "Event"},

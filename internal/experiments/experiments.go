@@ -15,9 +15,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/model"
+	"repro/internal/scenario"
 	"repro/internal/schedule"
 	"repro/internal/simtime"
 	"repro/internal/testbed"
+	"repro/scenarios"
 )
 
 // jobLike is the slice of core.Job the experiments use, kept as an
@@ -166,4 +168,37 @@ func (x *Ctx) sharedJob(spec *model.Spec, cluster hw.Cluster, mTotal int, seed i
 		return v.(*core.Job), nil
 	}
 	return job, nil
+}
+
+// runScenario runs a committed single-job scenario file on this Ctx's
+// calibrated job. set, when non-nil, adjusts the run block first (the
+// variant an experiment compares). The compiled job is swapped for the
+// memoized one of the same model, cluster, batch and seed, so every
+// variant shares one calibration and one planner; a scenario that
+// measures on the job's own testbed measures on the shared job's.
+func (x *Ctx) runScenario(file string, set func(*scenario.RunSpec)) (*scenario.Result, error) {
+	data, err := scenarios.FS.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := scenario.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	if set != nil {
+		set(&sc.Run)
+	}
+	c, err := scenario.Compile(sc)
+	if err != nil {
+		return nil, err
+	}
+	job, err := x.sharedJob(c.Job.Spec, c.Job.Cluster, c.Job.MTotal, sc.Job.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if c.TB == c.Job.Testbed() {
+		c.TB = job.Testbed()
+	}
+	c.Job = job
+	return c.Run("")
 }

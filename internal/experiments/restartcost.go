@@ -5,12 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/gantt"
-	"repro/internal/hw"
 	"repro/internal/manager"
-	"repro/internal/model"
+	"repro/internal/scenario"
 	"repro/internal/simtime"
-	"repro/internal/spot"
-	"repro/internal/testbed"
 )
 
 // RestartCost ablates reconfiguration pricing on the Figure 8 scenario:
@@ -23,48 +20,32 @@ import (
 //     whose downtime exceeds the discounted throughput gain before the
 //     next expected fleet event).
 //
-// The trace, market and manager seeds are identical across runs, so
-// every difference in the downtime columns is the pricing policy. The
-// experiment errors if morph-or-hold fails to strictly reduce
+// Each run is the committed restart-cost.yaml scenario with its policy
+// swapped. The trace, market and manager seeds are identical across
+// runs, and each run measures on a fresh identically-seeded testbed,
+// so every difference in the downtime columns is the pricing policy.
+// The experiment errors if morph-or-hold fails to strictly reduce
 // reconfiguration downtime versus always-morphing — the invariant the
 // cost-aware decision exists to enforce.
 func RestartCost(x *Ctx) (*Table, error) {
-	spec := model.GPT2XL2B()
-	cluster := hw.SpotCluster(hw.NC6v3, 150)
-	job, err := x.sharedJob(spec, cluster, 8192, 54)
-	if err != nil {
-		return nil, err
-	}
-	horizon := 24 * simtime.Hour
-	mk := spot.NewMarket(1, 120, 55)
-	events := spot.EventTrace(mk, 150, horizon, 10*simtime.Minute)
-
 	type run struct {
 		name   string
-		policy manager.MorphPolicy
+		policy string
 		points []manager.TimelinePoint
 		stats  manager.Stats
 	}
 	runs := []*run{
-		{name: "constant 4min", policy: manager.PolicyConstant},
-		{name: "modeled", policy: manager.PolicyModeled},
-		{name: "morph-or-hold", policy: manager.PolicyMorphOrHold},
+		{name: "constant 4min", policy: "constant"},
+		{name: "modeled", policy: "modeled"},
+		{name: "morph-or-hold", policy: "morph-or-hold"},
 	}
+	var horizon simtime.Duration
 	for _, r := range runs {
-		opts := manager.DefaultOptions()
-		opts.Policy = r.policy
-		// Each policy gets a fresh, identically-seeded testbed: the
-		// policies measure different (P, D) sets, so sharing one
-		// testbed would hand later runs a shifted jitter stream and
-		// the comparison would no longer isolate the pricing policy.
-		// The calibrated inputs and the planner's caches are shared —
-		// both are deterministic.
-		tb := testbed.New(cluster, 58)
-		mg := manager.NewWithPlanner(job.Inputs(), tb, job.Planner(), opts, 56)
-		r.points, r.stats, err = mg.RunTimeline(events, horizon)
+		res, err := x.runScenario("restart-cost.yaml", func(rs *scenario.RunSpec) { rs.Policy = r.policy })
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
+		r.points, r.stats, horizon = res.Points, res.Stats, res.Compiled.Horizon
 	}
 
 	t := &Table{

@@ -5,13 +5,11 @@ import (
 	"strings"
 
 	"repro/internal/autoconfig"
-	"repro/internal/hw"
 	"repro/internal/manager"
-	"repro/internal/model"
 	"repro/internal/price"
+	"repro/internal/scenario"
 	"repro/internal/simtime"
 	"repro/internal/spot"
-	"repro/internal/testbed"
 )
 
 // SpotDollars prices the Figure 8 scenario in dollars: the same
@@ -24,65 +22,46 @@ import (
 //   - deadline (a 50%-of-flat-out target by the horizon, bought as
 //     cheaply as possible).
 //
-// The trace, curve and every seed are identical across runs, so the
-// dollar columns differ only by objective. The experiment errors if
-// min-$/example fails to spend strictly fewer dollars per example
-// than max throughput — the invariant the objective exists to
-// enforce — or if the deadline run misses its target.
+// Each run is the committed spot-dollars.yaml scenario with its
+// objective swapped. The trace, curve and every seed are identical
+// across runs, so the dollar columns differ only by objective. The
+// experiment errors if min-$/example fails to spend strictly fewer
+// dollars per example than max throughput — the invariant the
+// objective exists to enforce — or if the deadline run misses its
+// target.
 //
 // A closing note prices the same job across two VM kinds
 // (cheap-but-volatile 1-GPU vs pricier-but-stable 4-GPU) with
 // price.ChooseMarket, feeding it the per-kind preemption hazards a
 // GapEstimator observes on each market's own trace.
 func SpotDollars(x *Ctx) (*Table, error) {
-	spec := model.GPT2XL2B()
-	cluster := hw.SpotCluster(hw.NC6v3, 150)
-	job, err := x.sharedJob(spec, cluster, 8192, 54)
-	if err != nil {
-		return nil, err
-	}
-	horizon := 24 * simtime.Hour
-	mk := spot.NewMarket(1, 120, 55)
-	events := spot.EventTrace(mk, 150, horizon, 10*simtime.Minute)
-	curve, err := price.MeanReverting(price.MROptions{
-		Mean: 2.40, Vol: 0.18, Reversion: 0.12, Horizon: horizon,
-	}, 61)
-	if err != nil {
-		return nil, err
-	}
-
 	type run struct {
-		name  string
-		obj   autoconfig.Objective
-		stats manager.Stats
+		name      string
+		objective string
+		stats     manager.Stats
 	}
 	runs := []*run{
-		{name: "max-throughput", obj: autoconfig.Objective{Kind: autoconfig.ObjMaxThroughput}},
-		{name: "min-$/example", obj: autoconfig.Objective{Kind: autoconfig.ObjMinDollarPerExample}},
-		{name: "deadline (50%)", obj: autoconfig.Objective{Kind: autoconfig.ObjDeadline}},
+		{name: "max-throughput", objective: "max-throughput"},
+		{name: "min-$/example", objective: "min-dollar-per-example"},
+		{name: "deadline (50%)", objective: "deadline"},
 	}
+	var res *scenario.Result
 	for _, r := range runs {
-		opts := manager.DefaultOptions()
-		opts.Prices = curve
-		opts.Objective = r.obj
-		if r.obj.Kind == autoconfig.ObjDeadline {
-			// Target 50% of what flat-out training achieved, due at
-			// the horizon — runs[0] has already executed.
-			opts.Objective.DeadlineAt = simtime.Time(horizon)
-			opts.Objective.TargetExamples = 0.5 * runs[0].stats.Examples
-		}
-		// Fresh identically-seeded testbed per objective (the
-		// objectives measure different (P, D) sets); shared planner
-		// caches — both deterministic, as in the restart-cost
-		// ablation.
-		tb := testbed.New(cluster, 58)
-		mg := manager.NewWithPlanner(job.Inputs(), tb, job.Planner(), opts, 56)
-		_, stats, err := mg.RunTimeline(events, horizon)
+		var err error
+		res, err = x.runScenario("spot-dollars.yaml", func(rs *scenario.RunSpec) {
+			rs.Objective = r.objective
+			if r.objective == "deadline" {
+				// Target 50% of what flat-out training achieved, due
+				// at the horizon — runs[0] has already executed.
+				rs.TargetExamples = 0.5 * runs[0].stats.Examples
+			}
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
-		r.stats = stats
+		r.stats = res.Stats
 	}
+	job, curve, horizon := res.Compiled.Job, res.Compiled.Opts.Prices, res.Compiled.Horizon
 
 	t := &Table{
 		Title:  "Dollar objectives: 2.5B on the 24h Figure 8 trace, mean-reverting spot price ($2.40/GPU·h mean)",

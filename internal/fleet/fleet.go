@@ -17,11 +17,12 @@
 // the arbiter's free list and is re-leased to other jobs — under a
 // shared fleet, a released VM is no longer a one-way door.
 //
-// With a single job the arbiter collapses to the direct-market path:
-// no competing job means no contention, no revocation and no re-lease,
-// so the pool's event stream is job-independent and is pretraced with
-// spot.EventTrace — bit-identical to running the manager against the
-// market directly (golden-pinned by the scenario parity tests).
+// A single job runs through the same arbiter. With no competitor
+// there is no contention, revocation or re-lease, so its timeline and
+// stats equal a manager replaying the market's pretraced event stream
+// (spot.EventTrace), with one difference in what it is told: the
+// arbiter does not deliver market preemptions of VMs the job released
+// (TestSingleJobCollapse pins both).
 package fleet
 
 import (
@@ -176,49 +177,5 @@ func Run(mk *spot.Market, jobs []*Job, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("fleet: outage zone %d outside [0, %d)", o.Zone, opts.Zones)
 		}
 	}
-	if len(jobs) == 1 && len(opts.Preempts) == 0 && len(opts.Outages) == 0 {
-		return runSingle(mk, jobs[0], opts)
-	}
 	return newArbiter(mk, jobs, opts).run()
-}
-
-// runSingle is the single-tenant collapse: with no competitor there is
-// nothing to arbitrate — the pool stream is independent of anything
-// the job does (releases stay lame-duck holds, exactly as the direct
-// path models them), so the whole trace is pregenerated and the
-// manager replays it bit-identically to core.Job.RunOnSpotMarket.
-func runSingle(mk *spot.Market, j *Job, opts Options) (*Result, error) {
-	if opts.Trace != nil {
-		j.Mgr.Opts.Trace = opts.Trace
-		j.Mgr.Opts.TraceTrack = opts.Trace.Track("job:" + j.Name)
-	}
-	if opts.Metrics != nil {
-		j.Mgr.Opts.Metrics = opts.Metrics
-	}
-	if opts.Series != nil {
-		j.Mgr.Opts.Series = opts.Series
-		j.Mgr.Opts.SeriesPrefix = j.Name + "/"
-		j.Mgr.Opts.SampleEvery = opts.SampleEvery
-	}
-	events := spot.EventTrace(mk, j.TargetGPUs, opts.Horizon, opts.Probe)
-	points, stats, err := j.Mgr.RunTimeline(events, opts.Horizon)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: job %q: %w", j.Name, err)
-	}
-	audit := newAudit(1)
-	for _, ev := range events {
-		audit.PoolEvents++
-		switch ev.Kind {
-		case spot.Alloc:
-			audit.lease(ev.At, ev.VM, 0, j.Name)
-			audit.Leases++
-		case spot.Preempt:
-			audit.unlease(ev.VM)
-			audit.MarketPreempts++
-		}
-	}
-	return &Result{
-		Jobs:  []JobResult{{Name: j.Name, Points: points, Stats: stats, Events: events}},
-		Audit: audit,
-	}, nil
 }

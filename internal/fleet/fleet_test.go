@@ -13,6 +13,7 @@ import (
 	"repro/internal/price"
 	"repro/internal/simtime"
 	"repro/internal/spot"
+	"repro/internal/testbed"
 )
 
 // testFleet builds a three-tenant fleet over one small market: a
@@ -180,39 +181,116 @@ func TestFleetReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSingleJobCollapse pins the single-tenant fast path: one job
-// under the arbiter replays the direct market trace bit-identically.
+// TestSingleJobCollapse pins the one-tenant arbiter against a manager
+// replaying the market's pretraced event stream. A max-throughput job
+// never releases capacity, so both paths see the same events and give
+// bit-identical timelines. A min-$/example job on the spot-dollars
+// config (the committed scenario's wiring) releases VMs; the arbiter
+// does not deliver their later market preemptions, which the pretrace
+// does and the manager ignores. Its stats and every point must still
+// equal the pretraced run's, apart from per-point DollarsSpent, which
+// may differ in the last ulp.
 func TestSingleJobCollapse(t *testing.T) {
-	horizon := 12 * simtime.Hour
-	job, err := core.NewJob(model.GPT2XL2B(), hw.SpotCluster(hw.NC6v3, 48), 8192, 54)
-	if err != nil {
-		t.Fatal(err)
+	type solo struct {
+		name       string
+		clusterGPU int
+		capacity   int
+		horizon    simtime.Duration
+		prices     bool
+		obj        autoconfig.Objective
+		exact      bool
 	}
-	direct := manager.NewWithPlanner(job.Inputs(), job.Testbed(), job.Planner(), manager.DefaultOptions(), 56)
-	events := spot.EventTrace(spot.NewMarket(1, 60, 55), 48, horizon, 10*simtime.Minute)
-	wantPts, wantStats, err := direct.RunTimeline(events, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	job2, err := core.NewJob(model.GPT2XL2B(), hw.SpotCluster(hw.NC6v3, 48), 8192, 54)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arb := manager.NewWithPlanner(job2.Inputs(), job2.Testbed(), job2.Planner(), manager.DefaultOptions(), 56)
-	res, err := Run(spot.NewMarket(1, 60, 55), []*Job{{Name: "solo", Mgr: arb, TargetGPUs: 48}},
-		Options{Horizon: horizon, Probe: 10 * simtime.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Jobs[0].Points, wantPts) {
-		t.Fatal("single-job arbiter timeline diverges from direct path")
-	}
-	if !reflect.DeepEqual(res.Jobs[0].Stats, wantStats) {
-		t.Fatal("single-job arbiter stats diverge from direct path")
-	}
-	if len(res.Audit.Violations) != 0 {
-		t.Fatalf("violations: %v", res.Audit.Violations)
+	for _, c := range []solo{
+		{name: "max-throughput", clusterGPU: 48, capacity: 60, horizon: 12 * simtime.Hour, exact: true},
+		{name: "min-dollar", clusterGPU: 150, capacity: 120, horizon: 24 * simtime.Hour, prices: true,
+			obj: autoconfig.Objective{Kind: autoconfig.ObjMinDollarPerExample}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cluster := hw.SpotCluster(hw.NC6v3, c.clusterGPU)
+			job, err := core.NewJob(model.GPT2XL2B(), cluster, 8192, 54)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := manager.DefaultOptions()
+			opts.Objective = c.obj
+			if c.prices {
+				opts.Prices, err = price.MeanReverting(price.MROptions{
+					Mean: 2.40, Vol: 0.18, Reversion: 0.12, Horizon: c.horizon,
+				}, 61)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Each path measures on its own identically-seeded testbed;
+			// the planner is shared, and its warmth never changes a
+			// decision.
+			newMgr := func() *manager.Manager {
+				return manager.NewWithPlanner(job.Inputs(), testbed.New(cluster, 58), job.Planner(), opts, 56)
+			}
+			events := spot.EventTrace(spot.NewMarket(1, c.capacity, 55), c.clusterGPU, c.horizon, 10*simtime.Minute)
+			wantPts, wantStats, err := newMgr().RunTimeline(events, c.horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(spot.NewMarket(1, c.capacity, 55),
+				[]*Job{{Name: "solo", Mgr: newMgr(), TargetGPUs: c.clusterGPU, Objective: c.obj}},
+				Options{Horizon: c.horizon, Probe: 10 * simtime.Minute, Prices: opts.Prices})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Audit.Violations) != 0 {
+				t.Fatalf("violations: %v", res.Audit.Violations)
+			}
+			got := res.Jobs[0]
+			if !reflect.DeepEqual(got.Stats, wantStats) {
+				t.Fatalf("one-tenant arbiter stats diverge from the pretraced run:\narbiter   %+v\npretraced %+v", got.Stats, wantStats)
+			}
+			if c.exact {
+				if !reflect.DeepEqual(got.Points, wantPts) {
+					t.Fatal("one-tenant arbiter timeline diverges from the pretraced run")
+				}
+				if !reflect.DeepEqual(got.Events, events) {
+					t.Fatal("one-tenant arbiter delivered a different event stream")
+				}
+				return
+			}
+			if len(got.Points) != len(wantPts) {
+				t.Fatalf("one-tenant arbiter timeline has %d points, pretraced %d", len(got.Points), len(wantPts))
+			}
+			for i, p := range got.Points {
+				w := wantPts[i]
+				p.DollarsSpent, w.DollarsSpent = 0, 0
+				if !reflect.DeepEqual(p, w) {
+					t.Fatalf("point %d diverges:\narbiter   %+v\npretraced %+v", i, p, w)
+				}
+			}
+			if wantStats.VMsReleased == 0 || res.Audit.Releases != wantStats.VMsReleased {
+				t.Fatalf("audit counts %d releases, the manager %d", res.Audit.Releases, wantStats.VMsReleased)
+			}
+			// Released VMs go back to the arbiter, which never leases
+			// them to this job again and does not forward their market
+			// preemptions.
+			for _, ev := range got.Events {
+				if ev.Kind == spot.Preempt && res.Audit.everFree[ev.VM] {
+					t.Fatalf("t=%v: preemption of released vm%d delivered", ev.At, ev.VM)
+				}
+			}
+			count := func(evs []spot.Event, kind spot.EventKind) int {
+				n := 0
+				for _, ev := range evs {
+					if ev.Kind == kind {
+						n++
+					}
+				}
+				return n
+			}
+			if a, w := count(got.Events, spot.Alloc), count(events, spot.Alloc); a != w {
+				t.Fatalf("arbiter delivered %d allocations, pretrace %d", a, w)
+			}
+			if d, w := count(got.Events, spot.Preempt), count(events, spot.Preempt); d >= w {
+				t.Fatalf("arbiter delivered %d preemptions, pretrace %d: released VMs' preemptions not withheld", d, w)
+			}
+		})
 	}
 }
 

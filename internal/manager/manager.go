@@ -74,10 +74,10 @@ type Options struct {
 	ConstOverhead simtime.Duration
 	// EventGapPrior seeds the fleet-event gap estimator before any
 	// gap has been observed — the assumed stable-window length of the
-	// first morph-or-hold decisions. Zero defers to the caller:
-	// core.RunOnSpotMarketOpts seeds it from the market's analytic
-	// hazard (spot.Market.ExpectedNextEvent); a bare RunTimeline falls
-	// back to DefaultEventGapPrior.
+	// first morph-or-hold decisions. Zero defers to the caller: a
+	// scenario with "gap-prior: market" seeds it from the market's
+	// analytic hazard (spot.Market.ExpectedNextEvent); otherwise
+	// RunTimeline falls back to DefaultEventGapPrior.
 	EventGapPrior simtime.Duration
 	// HeartbeatEvery is the cadence at which the manager re-examines
 	// compute heartbeats *between* fleet events. Historically the

@@ -23,8 +23,8 @@ import (
 // spot-event stream (market churn plus scripted/chaos preemptions),
 // the manager's options and its Degrade/NetDegrade/ObjChange
 // schedules. Compilation is deterministic: the same scenario always
-// compiles to the same inputs, so a replay of the compiled run is
-// bit-identical.
+// compiles to the same inputs, so runs of two compiles of one
+// scenario are bit-identical. A Compiled runs once (see Run).
 type Compiled struct {
 	Scenario *Scenario
 	Job      *core.Job
@@ -54,6 +54,9 @@ type Compiled struct {
 	// (fully disabled, bit-identical output) by default.
 	trace *obs.Tracer
 	met   *obs.Metrics
+
+	// ran is set by the first Run, which consumes TB's RNG stream.
+	ran bool
 }
 
 // EnableTelemetry creates the series set and attaches the scenario's
@@ -109,16 +112,14 @@ func objectiveFor(name string, deadlineAt simtime.Duration, targetExamples float
 	}
 }
 
-// compileSingle resolves everything that precedes trace generation —
-// job calibration, testbed choice, price curve, manager options and
-// the market in its pristine (un-traced) state. Compile continues
-// from here by generating the base trace; the fleet parity path hands
-// the pristine market to the arbiter instead, whose single-job
-// collapse generates the identical trace itself.
-func compileSingle(sc *Scenario) (*Compiled, *spot.Market, *price.Curve, error) {
+// Compile resolves a scenario: calibrates the job, generates the
+// market's base event trace, expands the chaos spec, resolves victims
+// against the live fleet, and assembles manager options. The job
+// calibration dominates the cost; everything else is cheap.
+func Compile(sc *Scenario) (*Compiled, error) {
 	spec, ok := specByName(sc.Job.Model)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("scenario %s: unknown model %q", sc.Name, sc.Job.Model)
+		return nil, fmt.Errorf("scenario %s: unknown model %q", sc.Name, sc.Job.Model)
 	}
 	vm := hw.NC6v3
 	if sc.Job.VMGPUs == 4 {
@@ -131,7 +132,7 @@ func compileSingle(sc *Scenario) (*Compiled, *spot.Market, *price.Curve, error) 
 	}
 	job, err := core.NewJob(spec, cluster, sc.Job.Batch, sc.Job.Seed)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 
 	c := &Compiled{Scenario: sc, Job: job, Horizon: sc.Run.Horizon}
@@ -146,7 +147,7 @@ func compileSingle(sc *Scenario) (*Compiled, *spot.Market, *price.Curve, error) 
 	// windows that overlap compound multiplicatively.
 	curve, err := buildCurve(sc, sc.Run.Horizon)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 
 	// Manager options.
@@ -175,8 +176,7 @@ func compileSingle(sc *Scenario) (*Compiled, *spot.Market, *price.Curve, error) 
 	}
 
 	// Market: the analytic gap prior must be read before the trace is
-	// generated (trace generation advances the market's state), the
-	// same order core.RunOnSpotMarketOpts uses.
+	// generated, because trace generation advances the market's state.
 	mk := spot.NewMarket(sc.Job.VMGPUs, sc.Market.BaseCapacity, sc.Market.Seed)
 	if sc.Market.MeanHold > 0 {
 		mk.MeanHold = sc.Market.MeanHold
@@ -186,18 +186,6 @@ func compileSingle(sc *Scenario) (*Compiled, *spot.Market, *price.Curve, error) 
 		opts.EventGapPrior = mk.ExpectedNextEvent(0, vms)
 	}
 	c.Opts = opts
-	return c, mk, curve, nil
-}
-
-// Compile resolves a scenario: calibrates the job, generates the
-// market's base event trace, expands the chaos spec, resolves victims
-// against the live fleet, and assembles manager options. The job
-// calibration dominates the cost; everything else is cheap.
-func Compile(sc *Scenario) (*Compiled, error) {
-	c, mk, curve, err := compileSingle(sc)
-	if err != nil {
-		return nil, err
-	}
 	base := spot.EventTrace(mk, sc.Run.TargetGPUs, sc.Run.Horizon, sc.Market.Probe)
 
 	// Script: explicit events plus the expanded chaos spec, merged in

@@ -406,44 +406,3 @@ func (r *FleetReport) Summary() string {
 	}
 	return b.String()
 }
-
-// RunViaFleet executes a single-job scenario through the fleet
-// arbiter instead of the direct market path. With one tenant and no
-// scripted events the arbiter collapses to the pretraced direct path,
-// so the result — timeline, stats and report bytes — is bit-identical
-// to Run's; the scenario parity tests pin exactly that. Scenarios
-// with scripted or chaos events are rejected: their victim-resolution
-// semantics belong to the single-job compiler.
-func RunViaFleet(sc *Scenario) (*Result, error) {
-	if sc.Fleet != nil {
-		return nil, fmt.Errorf("scenario %s: already a fleet scenario; use RunFleet", sc.Name)
-	}
-	if len(sc.Events) > 0 || sc.Chaos != nil {
-		return nil, fmt.Errorf("scenario %s: scripted/chaos events cannot run via the fleet collapse", sc.Name)
-	}
-	c, mk, curve, err := compileSingle(sc)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Opts.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	mg := manager.NewWithPlanner(c.Job.Inputs(), c.TB, c.Job.Planner(), c.Opts, sc.Run.ManagerSeed)
-	res, err := fleet.Run(mk, []*fleet.Job{{
-		Name:       sc.Name,
-		Mgr:        mg,
-		TargetGPUs: sc.Run.TargetGPUs,
-		Objective:  c.Opts.Objective,
-	}}, fleet.Options{Horizon: sc.Run.Horizon, Probe: sc.Market.Probe, Prices: curve})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	jr := res.Jobs[0]
-	c.Events = jr.Events
-	return &Result{
-		Compiled: c,
-		Points:   jr.Points,
-		Stats:    jr.Stats,
-		Report:   buildReport(c, jr.Points, jr.Stats),
-	}, nil
-}

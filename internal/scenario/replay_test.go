@@ -23,6 +23,24 @@ func mustParse(t *testing.T, doc string) *Scenario {
 	return sc
 }
 
+// runCommitted parses and runs one committed single-job scenario file.
+func runCommitted(t *testing.T, file string) *Result {
+	t.Helper()
+	data, err := scenarios.FS.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestReplayBitIdentical is the core determinism property: the same
 // scenario file replays to a bit-identical timeline, stats and report
 // bytes. CI runs this under -race as well.
@@ -57,6 +75,31 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 	if len(a.Report.Violations) != 0 {
 		t.Errorf("invariant violations: %v", a.Report.Violations)
+	}
+}
+
+// TestCompiledRunOnce pins the one-run contract of a Compiled: the
+// first run consumes the compiled testbed's RNG stream, so a second
+// Run of the same Compiled would diverge from the first. It must fail
+// instead, naming the scenario, while a fresh Compile replays.
+func TestCompiledRunOnce(t *testing.T) {
+	c, err := Compile(mustParse(t, miniScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Run("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(""); err == nil || !strings.Contains(err.Error(), c.Scenario.Name) {
+		t.Fatalf("second Run of one Compiled: err = %v, want an error naming %q", err, c.Scenario.Name)
+	}
+	again, err := Run(mustParse(t, miniScenario), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Stats, again.Stats) {
+		t.Errorf("a fresh compile does not replay the first run:\n%+v\n%+v", first.Stats, again.Stats)
 	}
 }
 

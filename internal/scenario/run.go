@@ -21,8 +21,8 @@ type Result struct {
 // Run compiles and executes a scenario. stateDir, when non-empty,
 // warm-starts the planner cache and the cost meter from
 // <dir>/planner-state.json (if present) and persists both after the
-// run — the kill-and-resume discipline varuna-morph uses, so a
-// scenario interrupted and re-run continues its cumulative bill and
+// run — the kill-and-resume discipline of `varuna-sim run -state`, so
+// a scenario interrupted and re-run continues its cumulative bill and
 // skips the cold planner sweep.
 func Run(sc *Scenario, stateDir string) (*Result, error) {
 	c, err := Compile(sc)
@@ -32,11 +32,17 @@ func Run(sc *Scenario, stateDir string) (*Result, error) {
 	return c.Run(stateDir)
 }
 
-// Run executes an already-compiled scenario. Repeated calls replay
-// bit-identically apart from planner-cache warmth, which changes cost
-// but never decisions.
+// Run executes an already-compiled scenario, once: the run consumes
+// the compiled testbed's RNG stream, so a second call on the same
+// Compiled returns an error rather than a diverging timeline. Compile
+// again to replay; a fresh compile replays bit-identically apart from
+// planner-cache warmth, which changes cost but never decisions.
 func (c *Compiled) Run(stateDir string) (*Result, error) {
 	sc := c.Scenario
+	if c.ran {
+		return nil, fmt.Errorf("scenario %s: compiled scenario already ran; compile it again to replay", sc.Name)
+	}
+	c.ran = true
 	opts := c.Opts
 	planner := c.Job.Planner()
 	var meter *price.Meter
