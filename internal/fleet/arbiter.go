@@ -82,7 +82,7 @@ type arbiter struct {
 	meanRate float64
 	audit    *Audit
 
-	// tr/met mirror Options.Trace/Metrics (nil-safe). trkMkt/trkArb
+	// tr/met mirror Options.Obs (nil-safe). trkMkt/trkArb
 	// are the market and arbiter control tracks; curTick is the span
 	// of the probe currently executing — the parent every market
 	// event, lease and cascade of that probe hangs off.
@@ -113,7 +113,7 @@ func newArbiter(mk *spot.Market, jobs []*Job, opts Options) *arbiter {
 	if opts.Prices != nil {
 		a.meanRate = opts.Prices.Mean(0, a.hz)
 	}
-	a.tr, a.met = opts.Trace, opts.Metrics
+	a.tr, a.met = opts.Obs.Trace, opts.Obs.Metrics
 	if a.tr.Enabled() {
 		// Control tracks first, then one track per job in job order —
 		// the stable export layout.
@@ -121,18 +121,14 @@ func newArbiter(mk *spot.Market, jobs []*Job, opts Options) *arbiter {
 		a.trkArb = a.tr.Track("arbiter")
 	}
 	for i, j := range jobs {
-		if opts.Trace != nil {
-			j.Mgr.Opts.Trace = opts.Trace
-			j.Mgr.Opts.TraceTrack = opts.Trace.Track("job:" + j.Name)
+		o := opts.Obs
+		if o.Trace != nil {
+			o.Track = o.Trace.Track("job:" + j.Name)
 		}
-		if opts.Metrics != nil {
-			j.Mgr.Opts.Metrics = opts.Metrics
+		if o.Series != nil {
+			o.Prefix = j.Name + "/"
 		}
-		if opts.Series != nil {
-			j.Mgr.Opts.Series = opts.Series
-			j.Mgr.Opts.SeriesPrefix = j.Name + "/"
-			j.Mgr.Opts.SampleEvery = opts.SampleEvery
-		}
+		j.Mgr.Opts.Obs = o
 		a.jobs = append(a.jobs, &jobState{
 			idx:      i,
 			cfg:      j,

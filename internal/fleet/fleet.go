@@ -97,23 +97,16 @@ type Options struct {
 	Outages []ScriptedOutage
 	// VictimSeed seeds the scripted reclaims' victim draws.
 	VictimSeed int64
-	// Trace, when non-nil, records the run's causal spans: market
-	// grants/reclaims, arbiter ticks, leases, revocation cascades —
-	// and is threaded into every job's manager (one track per job), so
-	// a revocation's span parents the victim's preemption handling.
-	// Nil (the default) changes nothing: the run is bit-identical to
-	// an untraced one.
-	Trace *obs.Tracer
-	// Metrics, when non-nil, receives registry metrics, including the
-	// wall-clock arbiter-tick self-profiling histogram
-	// ("wall.arbiter.tick_us").
-	Metrics *obs.Metrics
-	// Series, when non-nil, receives every job's continuous telemetry
-	// samples under a "<job>/" name prefix; SampleEvery sets the
-	// cadence (0 = the manager default). Nil changes nothing: the run
-	// is bit-identical to an unsampled one.
-	Series      *obs.SeriesSet
-	SampleEvery simtime.Duration
+	// Obs is what the run records into. Its tracer receives market
+	// grants/reclaims, arbiter ticks, leases and revocation cascades on
+	// the "market" and "arbiter" tracks; its registry the wall-clock
+	// arbiter-tick histogram ("wall.arbiter.tick_us"). Every job's
+	// manager records into the same hooks on its own "job:<name>"
+	// track, with its series under "<name>/", so a revocation's span
+	// parents the victim's preemption handling. Track and Prefix are
+	// not used. The zero value changes nothing: the run is
+	// bit-identical to an unobserved one.
+	Obs obs.Scope
 }
 
 // JobResult is one job's view of a fleet run.

@@ -103,34 +103,20 @@ type Options struct {
 	// fleet capacity the chosen configuration cannot use and need a
 	// price curve to decide against.
 	Objective autoconfig.Objective
-	// Trace, when non-nil, records the run's causal spans: fleet-event
-	// instants (parented on the arbiter span that caused them via
-	// spot.Event.Cause), morph decisions, restart phases, heartbeat
-	// checks and training segments, all on TraceTrack. Nil (the
-	// default) disables tracing with zero cost — the run is
-	// bit-identical and allocation-identical to an uninstrumented one.
-	Trace *obs.Tracer
-	// TraceTrack is the obs track this run's spans land on (one track
-	// per job in a fleet trace). Zero registers a default "job" track.
-	TraceTrack obs.TrackID
-	// Metrics, when non-nil, receives the run's registry metrics:
-	// simulated morph-downtime histograms and (via the Planner
-	// observer) wall-clock sweep self-profiling.
-	Metrics *obs.Metrics
-	// Series, when non-nil, receives the run's continuous telemetry:
-	// GPU count, throughput, cumulative dollars and $-per-kex,
-	// downtime and idle fractions sampled on the SampleEvery cadence
-	// plus at every timeline event, and per-recovery latencies at each
-	// post-preemption decision. Nil (the default) disables sampling
-	// with zero cost — the run is bit-identical to an unsampled one.
-	Series *obs.SeriesSet
-	// SeriesPrefix prefixes every series name this run records —
-	// "<job>/" in fleet mode, so N jobs share one SeriesSet without
-	// colliding.
-	SeriesPrefix string
-	// SampleEvery is the cadence of periodic series samples. Zero
-	// defaults to DefaultSampleEvery when Series is set.
-	SampleEvery simtime.Duration
+	// Obs is what the run records into. Its tracer receives causal
+	// spans on Obs.Track: fleet-event instants (parented on the arbiter
+	// span that caused them via spot.Event.Cause), morph decisions,
+	// restart phases, heartbeat checks and training segments. Its
+	// registry receives simulated morph-downtime histograms and (via
+	// the Planner observer) wall-clock sweep self-profiling. Its series
+	// set receives the SeriesNames signals under Obs.Prefix: GPU count,
+	// throughput, cumulative dollars and $-per-kex, downtime and idle
+	// fractions sampled every Obs.SampleEvery (DefaultSampleEvery when
+	// zero) plus at every timeline event, and per-recovery latencies at
+	// each post-preemption decision. The zero value records nothing at
+	// zero cost: the run is bit-identical and allocation-identical to
+	// an uninstrumented one.
+	Obs obs.Scope
 	// Replication is the checkpoint replication policy (§4.5 extended
 	// across failure domains): shards are pushed to Replicas domains
 	// spread at the policy's anti-affinity level, each checkpoint pays
@@ -157,7 +143,7 @@ type Options struct {
 const DefaultEventGapPrior = 30 * simtime.Minute
 
 // DefaultSampleEvery is the periodic series-sampling cadence used when
-// Options.Series is set without an explicit Options.SampleEvery.
+// Options.Obs has a series set but no SampleEvery.
 const DefaultSampleEvery = simtime.Minute
 
 // DefaultOptions mirrors the deployment described in the paper, with
@@ -499,7 +485,7 @@ type timelineRun struct {
 	outIdx   int
 	ckptDoms map[hw.DomainLevel]map[int]bool
 
-	// tr/trk/met mirror Options.Trace/TraceTrack/Metrics (nil-safe).
+	// tr/trk/met mirror Options.Obs (nil-safe).
 	// segSpan is the open training-segment span; cause is the latest
 	// fleet-event instant, pending adoption as the next decision's
 	// parent — the link that makes "which preemption triggered which
@@ -510,7 +496,7 @@ type timelineRun struct {
 	segSpan obs.SpanID
 	cause   obs.SpanID
 
-	// series mirrors Options.Series (nil-safe, nil = sampling off).
+	// series mirrors Options.Obs.Series (nil-safe, nil = sampling off).
 	// sNames holds the prefixed series names precomputed at start so
 	// sampling never rebuilds strings; nextSample is the next cadence
 	// tick and sampleEvery the cadence. paidGPUSec/idleGPUSec
@@ -530,6 +516,16 @@ type timelineRun struct {
 // seriesNames precomputes the prefixed names of the per-run series.
 type seriesNames struct {
 	gpus, throughput, dollars, perKex, downFrac, idleFrac, recovery string
+}
+
+// SeriesNames returns, sorted, the base names of the series a sampled
+// run records (each under Options.Obs.Prefix): the signals an SLO rule
+// can watch.
+func SeriesNames() []string {
+	n := newSeriesNames("")
+	names := []string{n.gpus, n.throughput, n.dollars, n.perKex, n.downFrac, n.idleFrac, n.recovery}
+	sort.Strings(names)
+	return names
 }
 
 func newSeriesNames(prefix string) seriesNames {
@@ -1442,20 +1438,17 @@ func (mg *Manager) StartOn(q *simtime.EventQueue, feed Feed, horizon simtime.Dur
 		mbCache:  make(map[[2]int]simtime.Duration),
 		exCache:  make(map[[2]int]float64),
 		released: make(map[int]bool),
-		tr:       mg.Opts.Trace,
-		trk:      mg.Opts.TraceTrack,
-		met:      mg.Opts.Metrics,
-	}
-	if r.tr.Enabled() && r.trk == 0 {
-		r.trk = r.tr.Track("job")
+		tr:       mg.Opts.Obs.Trace,
+		trk:      mg.Opts.Obs.Track,
+		met:      mg.Opts.Obs.Metrics,
 	}
 	if r.met.Enabled() {
 		mg.Plan.SetObserver(r.met)
 	}
-	if mg.Opts.Series.Enabled() {
-		r.series = mg.Opts.Series
-		r.sNames = newSeriesNames(mg.Opts.SeriesPrefix)
-		r.sampleEvery = mg.Opts.SampleEvery
+	if o := mg.Opts.Obs; o.Series.Enabled() {
+		r.series = o.Series
+		r.sNames = newSeriesNames(o.Prefix)
+		r.sampleEvery = o.SampleEvery
 		if r.sampleEvery <= 0 {
 			r.sampleEvery = DefaultSampleEvery
 		}

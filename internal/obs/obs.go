@@ -249,3 +249,20 @@ func (t *Tracer) Chain(id SpanID) []Span {
 	}
 	return out
 }
+
+// Scope is the observability one run records into, passed down as one
+// value: the tracer and the track its spans land on, the metrics
+// registry, and the series set with the name prefix and cadence of its
+// samples. The zero value records nothing; each hook is off while nil.
+type Scope struct {
+	Trace   *Tracer
+	Track   TrackID
+	Metrics *Metrics
+	Series  *SeriesSet
+	// Prefix prefixes every series name the run records ("<job>/" in
+	// a fleet, so N jobs share one SeriesSet without colliding).
+	Prefix string
+	// SampleEvery is the cadence of periodic series samples; zero
+	// leaves it to the recorder's default.
+	SampleEvery simtime.Duration
+}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/manager"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/price"
 	"repro/internal/simtime"
 	"repro/internal/spot"
@@ -26,7 +25,7 @@ import (
 // compiles to the same inputs, so runs of two compiles of one
 // scenario are bit-identical. A Compiled runs once (see Run).
 type Compiled struct {
-	Scenario *Scenario
+	observed
 	Job      *core.Job
 	TB       *testbed.Testbed
 	Events   []spot.Event
@@ -42,43 +41,6 @@ type Compiled struct {
 	// ScriptEvents counts the scripted+chaos events applied (after
 	// chaos expansion, before victim resolution).
 	ScriptEvents int
-
-	// Series and Monitors are the continuous-telemetry state: created
-	// at Compile when the scenario declares a telemetry or slos block,
-	// or forced on by EnableTelemetry (the exporter commands). Both nil
-	// — the zero-alloc disabled path, byte-identical output — otherwise.
-	Series   *obs.SeriesSet
-	Monitors []*obs.Monitor
-
-	// trace/met are the observability hooks Observe attaches; both nil
-	// (fully disabled, bit-identical output) by default.
-	trace *obs.Tracer
-	met   *obs.Metrics
-
-	// ran is set by the first Run, which consumes TB's RNG stream.
-	ran bool
-}
-
-// EnableTelemetry creates the series set and attaches the scenario's
-// SLO monitors. Compile calls it when the scenario declares telemetry;
-// the exporter commands call it to force sampling on scenarios that do
-// not. Idempotent.
-func (c *Compiled) EnableTelemetry() {
-	if c.Series != nil {
-		return
-	}
-	c.Series = obs.NewSeriesSet(telemetryRing(c.Scenario))
-	c.Monitors = buildMonitors(c.Scenario, c.Series)
-}
-
-// Observe attaches a tracer and/or metrics registry to the compiled
-// scenario before Run: spans land on the tracer, registry metrics
-// (including the "wall."-prefixed self-profiling) on the registry, and
-// the report gains the deterministic (SimOnly) snapshot. Either may be
-// nil. With both nil the run is byte-identical to an unobserved one.
-func (c *Compiled) Observe(tr *obs.Tracer, m *obs.Metrics) {
-	c.trace = tr
-	c.met = m
 }
 
 // specByName resolves a model-zoo name case-insensitively, accepting
@@ -135,7 +97,7 @@ func Compile(sc *Scenario) (*Compiled, error) {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 
-	c := &Compiled{Scenario: sc, Job: job, Horizon: sc.Run.Horizon}
+	c := &Compiled{observed: observed{Scenario: sc}, Job: job, Horizon: sc.Run.Horizon}
 	switch sc.Run.Testbed {
 	case "fresh":
 		c.TB = testbed.New(cluster, sc.Run.TestbedSeed)

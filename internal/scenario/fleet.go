@@ -20,13 +20,14 @@ import (
 // inputs: the shared market, one configured manager per job (each with
 // its own tee meter charging a shared pool bill), the arbiter options
 // and the price curve with compile-time shocks applied. Compilation is
-// deterministic, so a replay of the compiled run is bit-identical.
+// deterministic, so runs of two compiles of one scenario are
+// bit-identical. A CompiledFleet runs once (see Run).
 type CompiledFleet struct {
-	Scenario *Scenario
-	Market   *spot.Market
-	Jobs     []*fleet.Job
-	Opts     fleet.Options
-	Curve    *price.Curve
+	observed
+	Market *spot.Market
+	Jobs   []*fleet.Job
+	Opts   fleet.Options
+	Curve  *price.Curve
 	// PoolMeter is the shared fleet bill; JobMeters[i] is job i's tee
 	// meter (each charge lands on both). Nil without a prices block.
 	PoolMeter *price.Meter
@@ -34,38 +35,6 @@ type CompiledFleet struct {
 	Horizon   simtime.Duration
 	// ScriptEvents counts the scripted events compiled in.
 	ScriptEvents int
-
-	// Series and Monitors are the continuous-telemetry state: created
-	// at CompileFleet when the scenario declares a telemetry or slos
-	// block, or forced on by EnableTelemetry. Both nil otherwise.
-	Series   *obs.SeriesSet
-	Monitors []*obs.Monitor
-
-	// trace/met are the observability hooks Observe attaches; both nil
-	// (fully disabled, bit-identical output) by default.
-	trace *obs.Tracer
-	met   *obs.Metrics
-}
-
-// EnableTelemetry creates the fleet's series set (sampled per job
-// under a "<job>/" prefix) and attaches the scenario's SLO monitors.
-// Idempotent.
-func (c *CompiledFleet) EnableTelemetry() {
-	if c.Series != nil {
-		return
-	}
-	c.Series = obs.NewSeriesSet(telemetryRing(c.Scenario))
-	c.Monitors = buildMonitors(c.Scenario, c.Series)
-}
-
-// Observe attaches a tracer and/or metrics registry to the compiled
-// fleet before Run — the arbiter, the market and every job's manager
-// record into them (one trace track per job, after the market and
-// arbiter control tracks). Either may be nil; with both nil the run is
-// byte-identical to an unobserved one.
-func (c *CompiledFleet) Observe(tr *obs.Tracer, m *obs.Metrics) {
-	c.trace = tr
-	c.met = m
 }
 
 // CompileFleet resolves a fleet-mode scenario: calibrates every job,
@@ -108,7 +77,7 @@ func CompileFleet(sc *Scenario) (*CompiledFleet, error) {
 		mk.MeanHold = sc.Market.MeanHold
 	}
 
-	c := &CompiledFleet{Scenario: sc, Market: mk, Curve: curve, Horizon: hz, ScriptEvents: len(sc.Events)}
+	c := &CompiledFleet{observed: observed{Scenario: sc}, Market: mk, Curve: curve, Horizon: hz, ScriptEvents: len(sc.Events)}
 	if curve != nil {
 		c.PoolMeter = price.NewMeter(curve)
 	}
@@ -204,17 +173,19 @@ func RunFleet(sc *Scenario) (*FleetResult, error) {
 	return c.Run()
 }
 
-// Run executes an already-compiled fleet scenario. Repeated calls on
-// freshly-compiled inputs replay bit-identically.
+// Run executes an already-compiled fleet scenario, once: the run
+// consumes the compiled market and charges the compiled meters, so a
+// second call on the same CompiledFleet returns an error rather than a
+// diverging run. Compile again to replay; runs of fresh compiles are
+// bit-identical.
 func (c *CompiledFleet) Run() (*FleetResult, error) {
 	sc := c.Scenario
-	opts := c.Opts
-	opts.Trace, opts.Metrics = c.trace, c.met
-	if c.Series != nil {
-		opts.Series = c.Series
-		opts.SampleEvery = telemetrySampleEvery(sc)
-		attachBreachHooks(c.Monitors, c.trace, c.met)
+	scope, err := c.claim()
+	if err != nil {
+		return nil, err
 	}
+	opts := c.Opts
+	opts.Obs = scope
 	res, err := fleet.Run(c.Market, c.Jobs, opts)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
@@ -222,10 +193,12 @@ func (c *CompiledFleet) Run() (*FleetResult, error) {
 	out := &FleetResult{Compiled: c, Audit: res.Audit}
 	for i, jr := range res.Jobs {
 		synth := &Compiled{
-			Scenario: &Scenario{Name: sc.Name + "/" + jr.Name, Description: sc.Description},
-			Horizon:  c.Horizon,
-			Events:   jr.Events,
-			met:      c.met,
+			observed: observed{
+				Scenario: &Scenario{Name: sc.Name + "/" + jr.Name, Description: sc.Description},
+				met:      c.met,
+			},
+			Horizon: c.Horizon,
+			Events:  jr.Events,
 		}
 		synth.ScriptEvents = c.ScriptEvents
 		out.Jobs = append(out.Jobs, FleetJobRun{
@@ -249,11 +222,7 @@ func (c *CompiledFleet) Run() (*FleetResult, error) {
 		c.met.Gauge("dollars.pool", c.PoolMeter.Total())
 	}
 	out.Report = buildFleetReport(c, out)
-	out.Report.SLOs, out.Report.Violations = sloResults(c.Monitors, out.Report.Violations)
-	if c.met != nil {
-		snap := c.met.Snapshot(obs.SimOnly)
-		out.Report.Obs = &snap
-	}
+	out.Report.SLOs, out.Report.Violations, out.Report.Obs = c.finish(out.Report.Violations)
 	return out, nil
 }
 

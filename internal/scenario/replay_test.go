@@ -78,29 +78,60 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompiledRunOnce pins the one-run contract of a Compiled: the
-// first run consumes the compiled testbed's RNG stream, so a second
-// Run of the same Compiled would diverge from the first. It must fail
-// instead, naming the scenario, while a fresh Compile replays.
+// TestCompiledRunOnce pins the one-run contract of both compiled
+// types: the first run consumes the compiled inputs (a Compiled's
+// testbed RNG stream, a CompiledFleet's market and meters), so a
+// second Run of the same compile would diverge from the first. It must
+// fail instead, naming the scenario, while a fresh compile replays.
 func TestCompiledRunOnce(t *testing.T) {
-	c, err := Compile(mustParse(t, miniScenario))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.Run("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(""); err == nil || !strings.Contains(err.Error(), c.Scenario.Name) {
-		t.Fatalf("second Run of one Compiled: err = %v, want an error naming %q", err, c.Scenario.Name)
-	}
-	again, err := Run(mustParse(t, miniScenario), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first.Stats, again.Stats) {
-		t.Errorf("a fresh compile does not replay the first run:\n%+v\n%+v", first.Stats, again.Stats)
-	}
+	t.Run("single", func(t *testing.T) {
+		c, err := Compile(mustParse(t, miniScenario))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := c.Run("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(""); err == nil || !strings.Contains(err.Error(), c.Scenario.Name) {
+			t.Fatalf("second Run of one Compiled: err = %v, want an error naming %q", err, c.Scenario.Name)
+		}
+		again, err := Run(mustParse(t, miniScenario), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first.Stats, again.Stats) {
+			t.Errorf("a fresh compile does not replay the first run:\n%+v\n%+v", first.Stats, again.Stats)
+		}
+	})
+	t.Run("fleet", func(t *testing.T) {
+		c, err := CompileFleet(mustParse(t, miniFleet))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), c.Scenario.Name) {
+			t.Fatalf("second Run of one CompiledFleet: err = %v, want an error naming %q", err, c.Scenario.Name)
+		}
+		again, err := RunFleet(mustParse(t, miniFleet))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := first.Report.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := again.Report.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("a fresh compile does not replay the first fleet run:\n%s\n%s", a, b)
+		}
+	})
 }
 
 // Different seeds must actually change the run — a chaos harness whose

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/manager"
-	"repro/internal/obs"
 	"repro/internal/price"
 	"repro/internal/restart"
 )
@@ -39,11 +38,15 @@ func Run(sc *Scenario, stateDir string) (*Result, error) {
 // planner-cache warmth, which changes cost but never decisions.
 func (c *Compiled) Run(stateDir string) (*Result, error) {
 	sc := c.Scenario
-	if c.ran {
-		return nil, fmt.Errorf("scenario %s: compiled scenario already ran; compile it again to replay", sc.Name)
+	scope, err := c.claim()
+	if err != nil {
+		return nil, err
 	}
-	c.ran = true
+	if scope.Trace != nil {
+		scope.Track = scope.Trace.Track("job:" + sc.Name)
+	}
 	opts := c.Opts
+	opts.Obs = scope
 	planner := c.Job.Planner()
 	var meter *price.Meter
 	var sections restart.Sections
@@ -59,18 +62,6 @@ func (c *Compiled) Run(stateDir string) (*Result, error) {
 		if meter != nil {
 			opts.Meter = meter
 		}
-	}
-	if c.trace != nil {
-		opts.Trace = c.trace
-		opts.TraceTrack = c.trace.Track("job:" + sc.Name)
-	}
-	if c.met != nil {
-		opts.Metrics = c.met
-	}
-	if c.Series != nil {
-		opts.Series = c.Series
-		opts.SampleEvery = telemetrySampleEvery(sc)
-		attachBreachHooks(c.Monitors, c.trace, c.met)
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
@@ -99,11 +90,7 @@ func (c *Compiled) Run(stateDir string) (*Result, error) {
 		}
 	}
 	report := buildReport(c, points, stats)
-	report.SLOs, report.Violations = sloResults(c.Monitors, report.Violations)
-	if c.met != nil {
-		snap := c.met.Snapshot(obs.SimOnly)
-		report.Obs = &snap
-	}
+	report.SLOs, report.Violations, report.Obs = c.finish(report.Violations)
 	return &Result{
 		Compiled: c,
 		Points:   points,

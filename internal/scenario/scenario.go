@@ -20,10 +20,12 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/manager"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
@@ -801,19 +803,6 @@ func (d *decoder) validateFleet(sc *Scenario) {
 	}
 }
 
-// sloSeries is the whitelist of series base names the manager samples
-// (per-job in fleet mode). An SLO expression's left-hand side must
-// resolve to one of these after the aggregate suffix is stripped.
-var sloSeries = map[string]bool{
-	"gpus":              true,
-	"throughput":        true,
-	"dollars":           true,
-	"dollars-per-kex":   true,
-	"downtime-fraction": true,
-	"idle-fraction":     true,
-	"recovery":          true,
-}
-
 // validateTelemetry cross-checks the telemetry and slos blocks, which
 // are shared between single-job and fleet modes.
 func (d *decoder) validateTelemetry(sc *Scenario) {
@@ -842,8 +831,10 @@ func (d *decoder) validateTelemetry(sc *Scenario) {
 			d.errf("%s.expr: %v", at, err)
 			continue
 		}
-		if !sloSeries[series] {
-			d.errf("%s.expr: unknown series %q (known: dollars, dollars-per-kex, downtime-fraction, gpus, idle-fraction, recovery, throughput)", at, series)
+		// The left-hand side, its aggregate suffix stripped, must name
+		// a series the manager samples (per job in fleet mode).
+		if known := manager.SeriesNames(); !slices.Contains(known, series) {
+			d.errf("%s.expr: unknown series %q (known: %s)", at, series, strings.Join(known, ", "))
 		}
 		if (series == "dollars" || series == "dollars-per-kex") && !priced {
 			d.errf("%s.expr: series %q needs a prices block", at, series)

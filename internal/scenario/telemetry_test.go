@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/manager"
 	"repro/scenarios"
 )
 
@@ -194,5 +196,33 @@ func TestTelemetryValidation(t *testing.T) {
 	}
 	if _, err := Compile(sc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeriesNamesOneList pins manager.SeriesNames as the one list of
+// sampled signals: a sampled spot-dollars run records exactly those
+// series, each one parses as an SLO rule on a priced scenario, and an
+// unknown series is rejected with the list in the message.
+func TestSeriesNamesOneList(t *testing.T) {
+	c, err := Compile(loadCommitted(t, "spot-dollars"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableTelemetry()
+	if _, err := c.Run(""); err != nil {
+		t.Fatal(err)
+	}
+	names := manager.SeriesNames()
+	if got := c.Series.Names(); !reflect.DeepEqual(got, names) {
+		t.Errorf("a sampled run records %v, manager.SeriesNames lists %v", got, names)
+	}
+	for _, name := range names {
+		if _, err := Parse([]byte(miniScenario + "slos:\n  - expr: \"" + name + " >= 0\"\n")); err != nil {
+			t.Errorf("series %q does not parse as an SLO rule: %v", name, err)
+		}
+	}
+	_, err = Parse([]byte(miniScenario + "slos:\n  - expr: \"entropy >= 0\"\n"))
+	if want := "(known: " + strings.Join(names, ", ") + ")"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("unknown series: error %v, want it to mention %q", err, want)
 	}
 }
