@@ -11,9 +11,14 @@ import (
 // any change to the kernels' summation order, the Block's buffer reuse
 // or the Sync/TwoBW schedules fails here, not as a drifted figure.
 //
-// The pinned bits are amd64 results. Go rounds a*b + c there as two
-// operations; on arm64, ppc64le, riscv64 and s390x the compiler may
-// fuse them into one rounding, which gives other (equally valid) bits.
+// The pinned bits are results of amd64 hosts with AVX and FMA. Go
+// rounds a*b + c there as two operations; on arm64, ppc64le, riscv64
+// and s390x the compiler may fuse them into one rounding, which gives
+// other (equally valid) bits. And on amd64, math.Exp, and math.Tanh
+// through it, takes a VFMADD path when the CPU has AVX and FMA
+// ($GOROOT/src/math/exp_amd64.go, useFMA), so an amd64 host without
+// them computes other bits too. The nn matmuls add no condition: their
+// AVX2 strips never fuse, and give the Go tiles' bits.
 
 func checkBits(t *testing.T, what string, got []float64, want []uint64) {
 	t.Helper()

@@ -129,8 +129,10 @@ func sameBits(t *testing.T, what string, got, want *Matrix) {
 
 type kernelShape struct{ n, k, m int }
 
-// kernelShapes covers 1..9 in each dimension (every tile remainder)
-// and the transformer block's shapes.
+// kernelShapes covers 1..9 in each dimension (every tile remainder);
+// up to 33 columns, several 8-wide strips with every remainder; each
+// dimension at zero; the transformer block's shapes; and Eval's
+// full-batch rows.
 func kernelShapes() []kernelShape {
 	var out []kernelShape
 	for n := 1; n <= 9; n++ {
@@ -140,59 +142,116 @@ func kernelShapes() []kernelShape {
 			}
 		}
 	}
-	return append(out, kernelShape{96, 24, 24}, kernelShape{96, 24, 48}, kernelShape{96, 48, 24})
-}
-
-// TestKernelsMatchTextbookLoops is the differential test of the tiled
-// kernels: for every shape and every pair of entry mixes, a·b, aᵀ·b
-// and a·bᵀ equal the textbook loops bit for bit, whether the kernel
-// takes the tiled path or the non-finite fallback.
-func TestKernelsMatchTextbookLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, s := range kernelShapes() {
-		for ma := 0; ma < numMixes; ma++ {
-			for mb := 0; mb < numMixes; mb++ {
-				// a·b: a is n×k, b is k×m.
-				a, b := mixedMatrix(rng, s.n, s.k, ma), mixedMatrix(rng, s.k, s.m, mb)
-				sameBits(t, "MatMul", MatMul(a, b), refMatMul(a, b))
-				// aᵀ·b: a is k×n, b is k×m.
-				a, b = mixedMatrix(rng, s.k, s.n, ma), mixedMatrix(rng, s.k, s.m, mb)
-				sameBits(t, "MatMulATB", MatMulATB(a, b), refMatMulATB(a, b))
-				// a·bᵀ: a is n×k, b is m×k.
-				a, b = mixedMatrix(rng, s.n, s.k, ma), mixedMatrix(rng, s.m, s.k, mb)
-				sameBits(t, "MatMulABT", MatMulABT(a, b), refMatMulABT(a, b))
+	for n := 1; n <= 5; n++ {
+		for _, k := range []int{1, 2, 7, 24} {
+			for m := 10; m <= 33; m++ {
+				out = append(out, kernelShape{n, k, m})
 			}
 		}
 	}
+	return append(out,
+		kernelShape{0, 3, 17}, kernelShape{4, 0, 17}, kernelShape{4, 3, 0}, kernelShape{0, 0, 0},
+		kernelShape{96, 24, 24}, kernelShape{96, 24, 48}, kernelShape{96, 48, 24},
+		kernelShape{3072, 24, 48})
+}
+
+// kernelPaths runs f once on each matmul path this build and CPU
+// have: the Go tiles alone, then with the assembly strips.
+func kernelPaths(t *testing.T, f func(t *testing.T)) {
+	defer func(saved bool) { useSIMD = saved }(useSIMD)
+	for _, simd := range []bool{false, true} {
+		if simd && !simdAvailable {
+			t.Log("no AVX2 assembly in this build or on this CPU: Go tiles only")
+			continue
+		}
+		useSIMD = simd
+		name := "go"
+		if simd {
+			name = "avx2"
+		}
+		t.Run(name, f)
+	}
+}
+
+// TestKernelsMatchTextbookLoops is the differential test of the
+// kernels: for every shape and every pair of entry mixes, a·b, aᵀ·b
+// and a·bᵀ equal the textbook loops bit for bit, on the Go tiles alone
+// and with the assembly strips, whether the kernel takes the tiled
+// path or the non-finite fallback.
+func TestKernelsMatchTextbookLoops(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for _, s := range kernelShapes() {
+			for ma := 0; ma < numMixes; ma++ {
+				for mb := 0; mb < numMixes; mb++ {
+					// a·b: a is n×k, b is k×m.
+					a, b := mixedMatrix(rng, s.n, s.k, ma), mixedMatrix(rng, s.k, s.m, mb)
+					sameBits(t, "MatMul "+shapeName(s), MatMul(a, b), refMatMul(a, b))
+					// aᵀ·b: a is k×n, b is k×m.
+					a, b = mixedMatrix(rng, s.k, s.n, ma), mixedMatrix(rng, s.k, s.m, mb)
+					sameBits(t, "MatMulATB "+shapeName(s), MatMulATB(a, b), refMatMulATB(a, b))
+					// a·bᵀ: a is n×k, b is m×k.
+					a, b = mixedMatrix(rng, s.n, s.k, ma), mixedMatrix(rng, s.m, s.k, mb)
+					sameBits(t, "MatMulABT "+shapeName(s), MatMulABT(a, b), refMatMulABT(a, b))
+				}
+			}
+		}
+	})
+}
+
+// TestKernelsAllocateNothing checks that the …Into kernels the layers
+// call allocate nothing once warm, a·bᵀ's pooled transpose included.
+func TestKernelsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	x, w := mixedMatrix(rng, 96, 24, mixNormal), mixedMatrix(rng, 24, 48, mixNormal)
+	dy := mixedMatrix(rng, 96, 48, mixNormal)
+	y, dW, dx := NewMatrix(96, 48), NewMatrix(24, 48), NewMatrix(96, 24)
+	kernelPaths(t, func(t *testing.T) {
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"matMulInto", func() { matMulInto(y, x, w) }},
+			{"matMulATBInto", func() { matMulATBInto(dW, x, dy) }},
+			{"matMulABTInto", func() { matMulABTInto(dx, dy, w) }},
+		} {
+			if n := testing.AllocsPerRun(100, c.run); n != 0 {
+				t.Errorf("%s: %v allocations per call, want 0", c.name, n)
+			}
+		}
+	})
 }
 
 // TestKernelsOverwriteOut checks the Into forms replace whatever the
-// caller's buffer held, on both the tiled and the fallback path.
+// caller's buffer held, on both paths and on both the tiled and the
+// fallback path; 19 columns are two strips and a remainder.
 func TestKernelsOverwriteOut(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	dirty := func(rows, cols int) *Matrix {
-		m := NewMatrix(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = math.NaN()
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		dirty := func(rows, cols int) *Matrix {
+			m := NewMatrix(rows, cols)
+			for i := range m.Data {
+				m.Data[i] = math.NaN()
+			}
+			return m
 		}
-		return m
-	}
-	for _, mix := range []int{mixFinite, mixSpecial} {
-		a, b := mixedMatrix(rng, 5, 7, mixFinite), mixedMatrix(rng, 7, 6, mix)
-		out := dirty(5, 6)
-		matMulInto(out, a, b)
-		sameBits(t, "matMulInto", out, refMatMul(a, b))
+		for _, mix := range []int{mixFinite, mixSpecial} {
+			a, b := mixedMatrix(rng, 5, 7, mixFinite), mixedMatrix(rng, 7, 19, mix)
+			out := dirty(5, 19)
+			matMulInto(out, a, b)
+			sameBits(t, "matMulInto", out, refMatMul(a, b))
 
-		a, b = mixedMatrix(rng, 7, 5, mixFinite), mixedMatrix(rng, 7, 6, mix)
-		out = dirty(5, 6)
-		matMulATBInto(out, a, b)
-		sameBits(t, "matMulATBInto", out, refMatMulATB(a, b))
+			a, b = mixedMatrix(rng, 7, 5, mixFinite), mixedMatrix(rng, 7, 19, mix)
+			out = dirty(5, 19)
+			matMulATBInto(out, a, b)
+			sameBits(t, "matMulATBInto", out, refMatMulATB(a, b))
 
-		a, b = mixedMatrix(rng, 5, 7, mixFinite), mixedMatrix(rng, 6, 7, mix)
-		out = dirty(5, 6)
-		matMulABTInto(out, a, b)
-		sameBits(t, "matMulABTInto", out, refMatMulABT(a, b))
-	}
+			a, b = mixedMatrix(rng, 5, 7, mixFinite), mixedMatrix(rng, 19, 7, mix)
+			out = dirty(5, 19)
+			matMulABTInto(out, a, b)
+			sameBits(t, "matMulABTInto", out, refMatMulABT(a, b))
+		}
+	})
 }
 
 func benchMatMul(bm *testing.B, kernel func(out, a, b *Matrix), out, a, b *Matrix) {

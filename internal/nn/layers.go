@@ -147,7 +147,9 @@ const geluC = 0.7978845608028654 // sqrt(2/pi)
 // Forward implements Layer.
 func (g *Gelu) Forward(x *Matrix) (*Matrix, Ctx) {
 	y := NewMatrix(x.Rows, x.Cols)
-	g.forwardInto(y, x)
+	for i, v := range x.Data {
+		y.Data[i] = geluOut(v, geluTanh(v))
+	}
 	return y, geluCtx{x: x}
 }
 
@@ -155,29 +157,24 @@ func (g *Gelu) Forward(x *Matrix) (*Matrix, Ctx) {
 func (g *Gelu) Backward(ctx Ctx, dy *Matrix) *Matrix {
 	c := ctx.(geluCtx)
 	dx := NewMatrix(dy.Rows, dy.Cols)
-	g.backwardInto(dx, c.x, dy)
+	for i, v := range c.x.Data {
+		dx.Data[i] = dy.Data[i] * geluGrad(v, geluTanh(v))
+	}
 	return dx
 }
 
-// forwardInto writes GELU(x) into y.
-func (g *Gelu) forwardInto(y, x *Matrix) {
-	yd := y.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		yd[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v)))
-	}
-}
+// geluTanh is GELU's tanh term for input v. Both passes need it, and
+// it is GELU's dearest part: a Block keeps the forward's for its
+// backward, which gets the same bits as computing it again.
+func geluTanh(v float64) float64 { return math.Tanh(geluC * (v + 0.044715*v*v*v)) }
 
-// backwardInto writes the input gradient for input x and output
-// gradient dy into dx, which may be dy itself.
-func (g *Gelu) backwardInto(dx, x, dy *Matrix) {
-	dyd, dxd := dy.Data[:len(x.Data)], dx.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		u := geluC * (v + 0.044715*v*v*v)
-		t := math.Tanh(u)
-		du := geluC * (1 + 3*0.044715*v*v)
-		d := 0.5*(1+t) + 0.5*v*(1-t*t)*du
-		dxd[i] = dyd[i] * d
-	}
+// geluOut is GELU(v), given v's tanh term t.
+func geluOut(v, t float64) float64 { return 0.5 * v * (1 + t) }
+
+// geluGrad is GELU's derivative at v, given v's tanh term t.
+func geluGrad(v, t float64) float64 {
+	du := geluC * (1 + 3*0.044715*v*v)
+	return 0.5*(1+t) + 0.5*v*(1-t*t)*du
 }
 
 // Params implements Layer.

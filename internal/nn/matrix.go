@@ -44,9 +44,14 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // The three matmul kernels below compute every output element as one
 // sum over its terms in ascending index order, starting from +0 —
 // the order of the textbook loops — so they are bit-identical to
-// them. Each works on 2×4 output tiles held in registers, with the
-// operands sliced once per tile so the inner loop checks bounds at
-// most once per step, and writes over the caller's out.
+// them. Where the CPU has AVX2 (and the purego build tag is off), the
+// assembly kernel strips2x8 fills each row pair's full 8-column groups
+// four lanes at a time; it multiplies, then adds, never fusing the
+// two, so each lane rounds exactly as a scalar c += x*b. Go loops on
+// 2×4 output tiles held in registers compute the rest: the column
+// remainder, an odd last row and every element without AVX2. They
+// slice the operands once per tile so the inner loop checks bounds at
+// most once per step. Every kernel writes over the caller's out.
 //
 // The textbook a·b and aᵀ·b loops skip a zero multiplier from a. The
 // tiled loops add its product instead, which changes nothing while b
@@ -54,6 +59,20 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // is never −0, so adding ±0 leaves it bit-identical. A zero times an
 // Inf or NaN is NaN, though, so when b holds one the kernels fall back
 // to the textbook loop.
+
+// useSIMD routes each row pair's full column groups to strips2x8. It
+// is simdAvailable; tests switch it off to run the Go tiles alone.
+var useSIMD = simdAvailable
+
+// simdGroups returns how many full 8-column groups of each row pair
+// strips2x8 computes for n output rows, kn terms per sum and m output
+// columns: none when it is off or a dimension leaves no strip to fill.
+func simdGroups(n, kn, m int) int {
+	if !useSIMD || n < 2 || kn < 1 {
+		return 0
+	}
+	return m / 8
+}
 
 // MatMul returns a·b.
 func MatMul(a, b *Matrix) *Matrix {
@@ -88,6 +107,13 @@ func matMulInto(out, a, b *Matrix) {
 	}
 	n, kn, m := a.Rows, a.Cols, b.Cols
 	ad, bd, od := a.Data[:n*kn], b.Data[:kn*m], out.Data[:n*m]
+	j0 := 0 // each row pair's first column left to the Go tiles
+	if g := simdGroups(n, kn, m); g > 0 {
+		for i := 0; i+2 <= n; i += 2 {
+			strips2x8(&od[i*m], &od[(i+1)*m], &ad[i*kn], &ad[(i+1)*kn], &bd[0], 1, m, kn, g)
+		}
+		j0 = 8 * g
+	}
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		a0 := ad[i*kn : (i+1)*kn]
@@ -95,7 +121,7 @@ func matMulInto(out, a, b *Matrix) {
 		a1 = a1[:len(a0)]
 		o0 := od[i*m : (i+1)*m]
 		o1 := od[(i+1)*m : (i+2)*m]
-		j := 0
+		j := j0
 		for ; j+4 <= m; j += 4 {
 			var c00, c01, c02, c03, c10, c11, c12, c13 float64
 			p := j
@@ -152,11 +178,19 @@ func matMulATBInto(out, a, b *Matrix) {
 	}
 	rn, n, m := a.Rows, a.Cols, b.Cols
 	ad, bd, od := a.Data[:rn*n], b.Data[:rn*m], out.Data[:n*m]
+	j0 := 0 // each row pair's first column left to the Go tiles
+	if g := simdGroups(n, rn, m); g > 0 {
+		// Output row i's terms are column i of a: a stride of n.
+		for i := 0; i+2 <= n; i += 2 {
+			strips2x8(&od[i*m], &od[(i+1)*m], &ad[i], &ad[i+1], &bd[0], n, m, rn, g)
+		}
+		j0 = 8 * g
+	}
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		o0 := od[i*m : (i+1)*m]
 		o1 := od[(i+1)*m : (i+2)*m]
-		j := 0
+		j := j0
 		for ; j+4 <= m; j += 4 {
 			var c00, c01, c02, c03, c10, c11, c12, c13 float64
 			pa, pb := i, j
@@ -210,6 +244,25 @@ func matMulABTInto(out, a, b *Matrix) {
 	checkOut(out, a.Rows, b.Rows)
 	n, kn, m := a.Rows, a.Cols, b.Rows
 	ad, bd, od := a.Data[:n*kn], b.Data[:m*kn], out.Data[:n*m]
+	j0 := 0 // each row pair's first column left to the Go tiles
+	if g := simdGroups(n, kn, m); g > 0 {
+		// strips2x8 reads b's first 8g rows as the columns of a
+		// kn×8g matrix: transpose them into pooled scratch. The
+		// textbook a·bᵀ skips no zero, so no non-finite fallback.
+		w := 8 * g
+		buf := transposePool.Get().(*buffer)
+		bt := buf.shape(kn, w).Data
+		for j := 0; j < w; j++ {
+			for k, v := range bd[j*kn : (j+1)*kn] {
+				bt[k*w+j] = v
+			}
+		}
+		for i := 0; i+2 <= n; i += 2 {
+			strips2x8(&od[i*m], &od[(i+1)*m], &ad[i*kn], &ad[(i+1)*kn], &bt[0], 1, w, kn, g)
+		}
+		transposePool.Put(buf)
+		j0 = w
+	}
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		a0 := ad[i*kn : (i+1)*kn]
@@ -217,7 +270,7 @@ func matMulABTInto(out, a, b *Matrix) {
 		a1 = a1[:len(a0)]
 		o0 := od[i*m : (i+1)*m]
 		o1 := od[(i+1)*m : (i+2)*m]
-		j := 0
+		j := j0
 		for ; j+4 <= m; j += 4 {
 			b0 := bd[j*kn : (j+1)*kn]
 			b1 := bd[(j+1)*kn : (j+2)*kn]

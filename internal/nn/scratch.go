@@ -40,3 +40,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
+
+// transposePool holds the bᵀ copies matMulABTInto hands the assembly
+// kernel, one per call in flight.
+var transposePool = sync.Pool{New: func() any { return new(buffer) }}

@@ -22,7 +22,6 @@ type Block struct {
 	ln1, ln2       *LayerNorm
 	wq, wk, wv, wo *Linear
 	fc1, fc2       *Linear
-	gelu           *Gelu
 
 	work *blockWork // the kept workspace; nil before the first Forward
 	gen  uint64     // the latest Forward's generation
@@ -32,15 +31,14 @@ type Block struct {
 func NewBlock(name string, dim, seqLen, mlpMult int, rng *rand.Rand) *Block {
 	return &Block{
 		name: name, Dim: dim, SeqLen: seqLen,
-		ln1:  NewLayerNorm(name+".ln1", dim),
-		ln2:  NewLayerNorm(name+".ln2", dim),
-		wq:   NewLinear(name+".wq", dim, dim, rng),
-		wk:   NewLinearNoBias(name+".wk", dim, dim, rng),
-		wv:   NewLinear(name+".wv", dim, dim, rng),
-		wo:   NewLinear(name+".wo", dim, dim, rng),
-		fc1:  NewLinear(name+".fc1", dim, dim*mlpMult, rng),
-		fc2:  NewLinear(name+".fc2", dim*mlpMult, dim, rng),
-		gelu: NewGelu(name + ".gelu"),
+		ln1: NewLayerNorm(name+".ln1", dim),
+		ln2: NewLayerNorm(name+".ln2", dim),
+		wq:  NewLinear(name+".wq", dim, dim, rng),
+		wk:  NewLinearNoBias(name+".wk", dim, dim, rng),
+		wv:  NewLinear(name+".wv", dim, dim, rng),
+		wo:  NewLinear(name+".wo", dim, dim, rng),
+		fc1: NewLinear(name+".fc1", dim, dim*mlpMult, rng),
+		fc2: NewLinear(name+".fc2", dim*mlpMult, dim, rng),
 	}
 }
 
@@ -56,6 +54,7 @@ type blockWork struct {
 	att        *Matrix   // attention output, before wo
 	mid        *Matrix   // wo output plus the residual
 	h, g       *Matrix   // fc1 output and its GELU
+	th         *Matrix   // GELU's tanh term of each element of h
 }
 
 // workspace returns a workspace sized to a rows-row input. The Block
@@ -78,6 +77,7 @@ func (b *Block) workspace(rows int) *blockWork {
 		att:   NewMatrix(rows, b.Dim),
 		mid:   NewMatrix(rows, b.Dim),
 		h:     NewMatrix(rows, hidden), g: NewMatrix(rows, hidden),
+		th: NewMatrix(rows, hidden),
 	}
 	if b.work == nil || rows < b.work.rows {
 		b.work = w
@@ -116,11 +116,32 @@ func (b *Block) Forward(x *Matrix) (*Matrix, Ctx) {
 	// MLP sub-layer.
 	b.ln2.forwardInto(w.n2, w.xh2, w.inv2, w.mid)
 	b.fc1.forwardInto(w.h, w.n2)
-	b.gelu.forwardInto(w.g, w.h)
+	geluKeepInto(w.g, w.th, w.h)
 	y := NewMatrix(x.Rows, b.Dim)
 	b.fc2.forwardInto(y, w.g)
 	AddInPlace(y, w.mid) // residual
 	return y, blockCtx{work: w, gen: b.gen}
+}
+
+// geluKeepInto writes GELU(x) into y, keeping each element's tanh term
+// in th for geluKeptBackwardInto.
+func geluKeepInto(y, th, x *Matrix) {
+	yd, td := y.Data[:len(x.Data)], th.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		t := geluTanh(v)
+		td[i] = t
+		yd[i] = geluOut(v, t)
+	}
+}
+
+// geluKeptBackwardInto writes GELU's input gradient for input x, its
+// kept tanh terms th and output gradient dy into dx, which may be dy
+// itself.
+func geluKeptBackwardInto(dx, x, th, dy *Matrix) {
+	td, dyd, dxd := th.Data[:len(x.Data)], dy.Data[:len(x.Data)], dx.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		dxd[i] = dyd[i] * geluGrad(v, td[i])
+	}
 }
 
 // attend fills w.probs with the causal softmax of q·kᵀ/√Dim and w.att
@@ -181,7 +202,7 @@ func (b *Block) Backward(ctx Ctx, dy *Matrix) *Matrix {
 	// MLP sub-layer backward (residual: dy flows to both branches).
 	dh := s.hidden.shape(rows, b.fc1.Out)
 	b.fc2.backwardInto(dh, w.g, dy, s) // dg
-	b.gelu.backwardInto(dh, w.h, dh)
+	geluKeptBackwardInto(dh, w.h, w.th, dh)
 	dmid := s.mid.shape(rows, b.Dim)
 	b.fc1.backwardInto(dmid, w.n2, dh, s) // dn2
 	b.ln2.backwardInto(dmid, w.xh2, w.inv2, dmid, s)
@@ -286,15 +307,18 @@ func SoftmaxCrossEntropy(logits *Matrix, targets *Matrix, totalExamples int) (fl
 				maxv = v
 			}
 		}
+		// drow keeps each exp(v − max) until the sum is known.
+		drow := dl.Row(r)[:len(row)]
 		var sum float64
-		for _, v := range row {
-			sum += math.Exp(v - maxv)
+		for j, v := range row {
+			e := math.Exp(v - maxv)
+			drow[j] = e
+			sum += e
 		}
 		logZ := math.Log(sum) + maxv
 		loss += logZ - row[target]
-		drow := dl.Row(r)
-		for j, v := range row {
-			p := math.Exp(v-maxv) / sum
+		for j, e := range drow {
+			p := e / sum
 			drow[j] = p / denom
 		}
 		drow[target] -= 1 / denom
