@@ -144,7 +144,10 @@ func kernelShapes() []kernelShape {
 	}
 	for n := 1; n <= 5; n++ {
 		for _, k := range []int{1, 2, 7, 24} {
-			for m := 10; m <= 33; m++ {
+			for m := 1; m <= 33; m++ {
+				if k <= 9 && m <= 9 {
+					continue // in the cube above
+				}
 				out = append(out, kernelShape{n, k, m})
 			}
 		}
