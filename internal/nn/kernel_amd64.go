@@ -1,5 +1,3 @@
-//go:build !purego
-
 package nn
 
 // simdAvailable reports whether this CPU runs AVX2 and the operating

@@ -1,5 +1,3 @@
-//go:build !purego
-
 #include "textflag.h"
 
 // func strips2x8(c0, c1, a0, a1, b *float64, astep, bstep, kn, groups int)

@@ -131,8 +131,7 @@ type kernelShape struct{ n, k, m int }
 
 // kernelShapes covers 1..9 in each dimension (every tile remainder);
 // up to 33 columns, several 8-wide strips with every remainder; each
-// dimension at zero; the transformer block's shapes; and Eval's
-// full-batch rows.
+// dimension at zero; and the transformer block's shapes.
 func kernelShapes() []kernelShape {
 	var out []kernelShape
 	for n := 1; n <= 9; n++ {
@@ -154,8 +153,7 @@ func kernelShapes() []kernelShape {
 	}
 	return append(out,
 		kernelShape{0, 3, 17}, kernelShape{4, 0, 17}, kernelShape{4, 3, 0}, kernelShape{0, 0, 0},
-		kernelShape{96, 24, 24}, kernelShape{96, 24, 48}, kernelShape{96, 48, 24},
-		kernelShape{3072, 24, 48})
+		kernelShape{96, 24, 24}, kernelShape{96, 24, 48}, kernelShape{96, 48, 24})
 }
 
 // kernelPaths runs f once on each matmul path this build and CPU
@@ -180,26 +178,35 @@ func kernelPaths(t *testing.T, f func(t *testing.T)) {
 // kernels: for every shape and every pair of entry mixes, a·b, aᵀ·b
 // and a·bᵀ equal the textbook loops bit for bit, on the Go tiles alone
 // and with the assembly strips, whether the kernel takes the tiled
-// path or the non-finite fallback.
+// path or the non-finite fallback. Eval's full-batch shape runs once,
+// on normal entries.
 func TestKernelsMatchTextbookLoops(t *testing.T) {
 	kernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		for _, s := range kernelShapes() {
 			for ma := 0; ma < numMixes; ma++ {
 				for mb := 0; mb < numMixes; mb++ {
-					// a·b: a is n×k, b is k×m.
-					a, b := mixedMatrix(rng, s.n, s.k, ma), mixedMatrix(rng, s.k, s.m, mb)
-					sameBits(t, "MatMul "+shapeName(s), MatMul(a, b), refMatMul(a, b))
-					// aᵀ·b: a is k×n, b is k×m.
-					a, b = mixedMatrix(rng, s.k, s.n, ma), mixedMatrix(rng, s.k, s.m, mb)
-					sameBits(t, "MatMulATB "+shapeName(s), MatMulATB(a, b), refMatMulATB(a, b))
-					// a·bᵀ: a is n×k, b is m×k.
-					a, b = mixedMatrix(rng, s.n, s.k, ma), mixedMatrix(rng, s.m, s.k, mb)
-					sameBits(t, "MatMulABT "+shapeName(s), MatMulABT(a, b), refMatMulABT(a, b))
+					matchTextbookLoops(t, rng, s, ma, mb)
 				}
 			}
 		}
+		matchTextbookLoops(t, rng, kernelShape{3072, 24, 48}, mixNormal, mixNormal)
 	})
+}
+
+// matchTextbookLoops checks a·b, aᵀ·b and a·bᵀ of shape s, with a's
+// entries from mix ma and b's from mb, against the textbook loops.
+func matchTextbookLoops(t *testing.T, rng *rand.Rand, s kernelShape, ma, mb int) {
+	t.Helper()
+	// a·b: a is n×k, b is k×m.
+	a, b := mixedMatrix(rng, s.n, s.k, ma), mixedMatrix(rng, s.k, s.m, mb)
+	sameBits(t, "MatMul "+shapeName(s), MatMul(a, b), refMatMul(a, b))
+	// aᵀ·b: a is k×n, b is k×m.
+	a, b = mixedMatrix(rng, s.k, s.n, ma), mixedMatrix(rng, s.k, s.m, mb)
+	sameBits(t, "MatMulATB "+shapeName(s), MatMulATB(a, b), refMatMulATB(a, b))
+	// a·bᵀ: a is n×k, b is m×k.
+	a, b = mixedMatrix(rng, s.n, s.k, ma), mixedMatrix(rng, s.m, s.k, mb)
+	sameBits(t, "MatMulABT "+shapeName(s), MatMulABT(a, b), refMatMulABT(a, b))
 }
 
 // TestKernelsAllocateNothing checks that the …Into kernels the layers

@@ -140,41 +140,50 @@ type Gelu struct{ name string }
 // NewGelu builds a GELU layer.
 func NewGelu(name string) *Gelu { return &Gelu{name: name} }
 
-type geluCtx struct{ x *Matrix }
+// geluCtx holds the forward's input and each element's tanh term,
+// which the backward needs too: keeping it saves a second math.Tanh
+// per element and gives the same bits as computing it again.
+type geluCtx struct{ x, th *Matrix }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
 // Forward implements Layer.
 func (g *Gelu) Forward(x *Matrix) (*Matrix, Ctx) {
-	y := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		y.Data[i] = geluOut(v, geluTanh(v))
-	}
-	return y, geluCtx{x: x}
+	y, th := NewMatrix(x.Rows, x.Cols), NewMatrix(x.Rows, x.Cols)
+	geluKeepInto(y, th, x)
+	return y, geluCtx{x: x, th: th}
 }
 
 // Backward implements Layer.
 func (g *Gelu) Backward(ctx Ctx, dy *Matrix) *Matrix {
 	c := ctx.(geluCtx)
 	dx := NewMatrix(dy.Rows, dy.Cols)
-	for i, v := range c.x.Data {
-		dx.Data[i] = dy.Data[i] * geluGrad(v, geluTanh(v))
-	}
+	geluKeptBackwardInto(dx, c.x, c.th, dy)
 	return dx
 }
 
-// geluTanh is GELU's tanh term for input v. Both passes need it, and
-// it is GELU's dearest part: a Block keeps the forward's for its
-// backward, which gets the same bits as computing it again.
-func geluTanh(v float64) float64 { return math.Tanh(geluC * (v + 0.044715*v*v*v)) }
+// geluKeepInto writes GELU(x) into y, keeping each element's tanh term
+// in th for geluKeptBackwardInto.
+func geluKeepInto(y, th, x *Matrix) {
+	yd, td := y.Data[:len(x.Data)], th.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		t := math.Tanh(geluC * (v + 0.044715*v*v*v))
+		td[i] = t
+		yd[i] = 0.5 * v * (1 + t)
+	}
+}
 
-// geluOut is GELU(v), given v's tanh term t.
-func geluOut(v, t float64) float64 { return 0.5 * v * (1 + t) }
-
-// geluGrad is GELU's derivative at v, given v's tanh term t.
-func geluGrad(v, t float64) float64 {
-	du := geluC * (1 + 3*0.044715*v*v)
-	return 0.5*(1+t) + 0.5*v*(1-t*t)*du
+// geluKeptBackwardInto writes GELU's input gradient for input x, its
+// kept tanh terms th and output gradient dy into dx, which may be dy
+// itself.
+func geluKeptBackwardInto(dx, x, th, dy *Matrix) {
+	td, dyd, dxd := th.Data[:len(x.Data)], dy.Data[:len(x.Data)], dx.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		t := td[i]
+		du := geluC * (1 + 3*0.044715*v*v)
+		d := 0.5*(1+t) + 0.5*v*(1-t*t)*du
+		dxd[i] = dyd[i] * d
+	}
 }
 
 // Params implements Layer.

@@ -44,10 +44,10 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // The three matmul kernels below compute every output element as one
 // sum over its terms in ascending index order, starting from +0 —
 // the order of the textbook loops — so they are bit-identical to
-// them. Where the CPU has AVX2 (and the purego build tag is off), the
-// assembly kernel strips2x8 fills each row pair's full 8-column groups
-// four lanes at a time; it multiplies, then adds, never fusing the
-// two, so each lane rounds exactly as a scalar c += x*b. Go loops on
+// them. Where the CPU has AVX2, the assembly kernel strips2x8 fills
+// each row pair's full 8-column groups four lanes at a time; it
+// multiplies, then adds, never fusing the two, so each lane rounds
+// exactly as a scalar c += x*b. Go loops on
 // 2×4 output tiles held in registers compute the rest: the column
 // remainder, an odd last row and every element without AVX2. They
 // slice the operands once per tile so the inner loop checks bounds at

@@ -123,27 +123,6 @@ func (b *Block) Forward(x *Matrix) (*Matrix, Ctx) {
 	return y, blockCtx{work: w, gen: b.gen}
 }
 
-// geluKeepInto writes GELU(x) into y, keeping each element's tanh term
-// in th for geluKeptBackwardInto.
-func geluKeepInto(y, th, x *Matrix) {
-	yd, td := y.Data[:len(x.Data)], th.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		t := geluTanh(v)
-		td[i] = t
-		yd[i] = geluOut(v, t)
-	}
-}
-
-// geluKeptBackwardInto writes GELU's input gradient for input x, its
-// kept tanh terms th and output gradient dy into dx, which may be dy
-// itself.
-func geluKeptBackwardInto(dx, x, th, dy *Matrix) {
-	td, dyd, dxd := th.Data[:len(x.Data)], dy.Data[:len(x.Data)], dx.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		dxd[i] = dyd[i] * geluGrad(v, td[i])
-	}
-}
-
 // attend fills w.probs with the causal softmax of q·kᵀ/√Dim and w.att
 // with the probability-weighted sum of v, example by example.
 func (b *Block) attend(w *blockWork) {
