@@ -12,8 +12,12 @@ import (
 // concatenated parameter values and Adam moments. Writing is sharded
 // the way §4.5 describes — replica r persists every D-th of its
 // stage's layers — which exercises the sharding assignment even though
-// replicas hold identical state in sync mode.
+// replicas hold identical state in sync mode. Only a Sync engine saves
+// (see exactResume).
 func (e *Engine) Save(store checkpoint.Store) error {
+	if err := exactResume(e.cfg.Mode); err != nil {
+		return err
+	}
 	numLayers := e.cfg.GPT.Layers + 2
 	var manifest []int
 	var layerBytes []int64
@@ -77,10 +81,27 @@ func (e *Engine) layerState(r, s, l int) checkpoint.LayerState {
 	return ls
 }
 
+// exactResume refuses a mode whose state a checkpoint does not hold.
+// A checkpoint holds the weights and Adam moments, and Resume sets each
+// optimizer's step to the mini-batch count, which is exact for Sync
+// alone: TwoBW's parked gradients are not saved and its optimizers run
+// one step behind the mini-batch count, and StalePerMicro steps Adam
+// once per micro-batch.
+func exactResume(m Mode) error {
+	if m != Sync {
+		return fmt.Errorf("engine: a %v engine cannot be checkpointed and resumed exactly; only Sync can", m)
+	}
+	return nil
+}
+
 // Resume builds a fresh engine under cfg (possibly a different P×D —
 // the §4.5 morphing resume) and loads the latest checkpoint from
-// store. With no checkpoint present it is equivalent to New.
+// store. With no checkpoint present it is equivalent to New. Only a
+// Sync engine resumes (see exactResume).
 func Resume(cfg Config, store checkpoint.Store) (*Engine, error) {
+	if err := exactResume(cfg.Mode); err != nil {
+		return nil, err
+	}
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err

@@ -48,6 +48,19 @@ const (
 	TwoBW
 )
 
+// String names the mode.
+func (m Mode) String() string {
+	switch m {
+	case Sync:
+		return "Sync"
+	case StalePerMicro:
+		return "StalePerMicro"
+	case TwoBW:
+		return "TwoBW"
+	}
+	return fmt.Sprintf("Mode(%d)", int(m))
+}
+
 // Config describes one training setup.
 type Config struct {
 	// GPT is the model architecture.
@@ -88,6 +101,7 @@ type stage struct {
 	layers []nn.Layer
 	opt    *nn.Adam
 	params []*nn.Param
+	ctxs   []nn.Ctx // the layers' contexts of the micro-batch in hand
 }
 
 // Engine is a live training job.
@@ -97,9 +111,19 @@ type Engine struct {
 	// layerStages[l] is the stage index owning global layer l.
 	layerStages []int
 	step        int
-	rng         *rand.Rand
-	// pending holds 2BW's parked gradients awaiting delayed application.
-	pending map[*nn.Param][]float64
+	// rng draws each mini-batch into inputs and targets, reseeded per
+	// batch; batch allocates the two matrices at its first call.
+	rng             *rand.Rand
+	inputs, targets *nn.Matrix
+
+	// The rest is allocated at the first Step and reused by every one:
+	// pipes[r] holds replica r's stage hand-offs, groups the
+	// allreduce's parameter groups, and parked, under TwoBW, the
+	// previous mini-batch's gradients, one buffer per parameter in
+	// replica, stage and layer order.
+	pipes  []*pipe
+	groups []paramGroup
+	parked [][]float64
 }
 
 // New builds the engine: every replica constructs the model from the
@@ -170,22 +194,17 @@ func (e *Engine) SharedParamNames() []string {
 
 // Step runs one mini-batch and returns the global mean loss.
 func (e *Engine) Step() float64 {
-	inputs, targets := e.batch()
-	perReplica := e.cfg.BatchSize / e.cfg.D
-	nm := perReplica / e.cfg.MicroBatch
-
+	e.batch()
+	if e.pipes == nil {
+		e.allocateSteps()
+	}
 	losses := make([]float64, e.cfg.D)
 	var wg sync.WaitGroup
-	for r := 0; r < e.cfg.D; r++ {
-		r := r
-		lo := r * perReplica
-		wg.Add(1)
+	wg.Add(e.cfg.D)
+	for r, stages := range e.replicas {
 		go func() {
 			defer wg.Done()
-			losses[r] = e.runPipeline(e.replicas[r],
-				sliceRows(inputs, lo, perReplica),
-				sliceRows(targets, lo, perReplica),
-				nm)
+			losses[r] = e.runPipeline(stages, e.pipes[r])
 		}()
 	}
 	wg.Wait()
@@ -206,33 +225,48 @@ func (e *Engine) Step() float64 {
 	return lossSum / float64(e.cfg.D)
 }
 
-// reduceDelayed implements 2BW's double-buffered updates: this
-// mini-batch's reduced gradients are parked, and the previous
-// mini-batch's parked gradients are applied instead — every update
-// lands one step stale.
-func (e *Engine) reduceDelayed() {
-	// Reduce exactly as sync would, but capture instead of applying.
-	e.reduceGradients()
-	current := make(map[*nn.Param][]float64)
-	for _, stages := range e.replicas {
+// allocateSteps allocates what every Step reuses: each replica's pipe
+// and each stage's context list, the allreduce groups unless updates
+// are per micro-batch, and TwoBW's parked gradients.
+func (e *Engine) allocateSteps() {
+	for r, stages := range e.replicas {
+		e.pipes = append(e.pipes, e.newPipe(r, len(stages)))
 		for _, st := range stages {
-			for _, p := range st.params {
-				current[p] = append([]float64(nil), p.Grad...)
-				p.ZeroGrad()
+			st.ctxs = make([]nn.Ctx, len(st.layers))
+			if e.cfg.Mode == TwoBW {
+				for _, p := range st.params {
+					e.parked = append(e.parked, make([]float64, len(p.Grad)))
+				}
 			}
 		}
 	}
-	if e.pending != nil {
-		for _, stages := range e.replicas {
-			for _, st := range stages {
-				for _, p := range st.params {
-					copy(p.Grad, e.pending[p])
-				}
+	if e.cfg.Mode != StalePerMicro {
+		e.groups = e.paramGroups()
+	}
+}
+
+// reduceDelayed implements 2BW's double-buffered updates: this
+// mini-batch's reduced gradients are parked, and the previous
+// mini-batch's parked gradients are applied instead — every update
+// lands one step stale. Each parameter's accumulator and its parked
+// buffer swap: the optimizer reads the previous gradients from the
+// accumulator and zeroes it for the next mini-batch. The first
+// mini-batch has nothing parked and applies no update.
+func (e *Engine) reduceDelayed() {
+	// Reduce exactly as sync would, but park instead of applying.
+	e.reduceGradients()
+	i := 0
+	for _, stages := range e.replicas {
+		for _, st := range stages {
+			for _, p := range st.params {
+				p.Grad, e.parked[i] = e.parked[i], p.Grad
+				i++
+			}
+			if e.step > 0 {
 				st.opt.Step(st.params)
 			}
 		}
 	}
-	e.pending = current
 }
 
 // reduceAndStep implements the two process groups of §6: gradients of
@@ -248,78 +282,75 @@ func (e *Engine) reduceAndStep() {
 	}
 }
 
-// reduceGradients performs the replica and shared-state allreduces,
-// leaving summed gradients in place.
-func (e *Engine) reduceGradients() {
-	// Group parameter instances by name across replicas and stages.
-	// Ordinary params appear once per replica; shared params once per
-	// holding stage per replica.
-	type group struct{ instances []*nn.Param }
-	groups := make(map[string]*group)
+// paramGroup is one allreduce: the parameter instances whose
+// gradients it sums, and the kept buffer it sums them in.
+type paramGroup struct {
+	instances []*nn.Param
+	sum       []float64
+}
+
+// paramGroups builds the replica and shared-state allreduces of §6.
+// Parameter instances are grouped by name across replicas and stages:
+// ordinary params appear once per replica, shared params once per
+// holding stage per replica. Shared params sync across all holders,
+// ordinary params across replicas; a group of one needs no allreduce.
+func (e *Engine) paramGroups() []paramGroup {
+	byName := make(map[string][]*nn.Param)
 	var order []string
 	for _, stages := range e.replicas {
 		for _, st := range stages {
 			for _, p := range st.params {
-				g, ok := groups[p.Name]
-				if !ok {
-					g = &group{}
-					groups[p.Name] = g
+				if _, ok := byName[p.Name]; !ok {
 					order = append(order, p.Name)
 				}
-				g.instances = append(g.instances, p)
+				byName[p.Name] = append(byName[p.Name], p)
 			}
 		}
+	}
+	var groups []paramGroup
+	add := func(instances []*nn.Param) {
+		groups = append(groups, paramGroup{instances: instances, sum: make([]float64, len(instances[0].Grad))})
 	}
 	for _, name := range order {
-		g := groups[name]
-		first := g.instances[0]
+		instances := byName[name]
+		first := instances[0]
 		crossStage := first.Shared && !e.cfg.DisableSharedSync
-		if len(g.instances) == 1 {
-			continue
-		}
-		if !crossStage && e.cfg.D == 1 {
-			continue
-		}
-		// Which instances participate: shared params sync across all
-		// holders; ordinary params only across replicas (they appear
-		// once per replica anyway).
-		parts := g.instances
-		if !crossStage && first.Shared {
-			// Tracer sync disabled: reduce within replicas only, i.e.
-			// each stage's copy sees only its replica-ring sum. Group
-			// instances by stage position.
-			e.reduceSharedPerStage(g.instances)
-			continue
-		}
-		sum := make([]float64, len(first.Grad))
-		for _, p := range parts {
-			for i, v := range p.Grad {
-				sum[i] += v
+		switch {
+		case len(instances) == 1, !crossStage && e.cfg.D == 1:
+			// Nothing to sum across.
+		case !crossStage && first.Shared:
+			// Tracer sync disabled, the bug the tracer prevents: each
+			// stage's copy syncs only with its own data-parallel ring,
+			// so the embedding and lm_head copies drift apart.
+			// Instances are replica-major in a fixed stage order, so
+			// a ring is one position within each replica.
+			perReplica := len(instances) / e.cfg.D
+			for pos := 0; pos < perReplica; pos++ {
+				ring := make([]*nn.Param, e.cfg.D)
+				for r := range ring {
+					ring[r] = instances[r*perReplica+pos]
+				}
+				add(ring)
 			}
-		}
-		for _, p := range parts {
-			copy(p.Grad, sum)
+		default:
+			add(instances)
 		}
 	}
+	return groups
 }
 
-// reduceSharedPerStage models the buggy behaviour the tracer prevents:
-// each stage's copy of a shared parameter only syncs with its own
-// data-parallel ring, so the embedding and lm_head copies drift apart.
-func (e *Engine) reduceSharedPerStage(instances []*nn.Param) {
-	// Instances are ordered replica-major, stage order consistent:
-	// group by position within replica.
-	perReplica := len(instances) / e.cfg.D
-	for pos := 0; pos < perReplica; pos++ {
-		sum := make([]float64, len(instances[0].Grad))
-		for r := 0; r < e.cfg.D; r++ {
-			p := instances[r*perReplica+pos]
+// reduceGradients performs the replica and shared-state allreduces,
+// leaving summed gradients in place.
+func (e *Engine) reduceGradients() {
+	for _, g := range e.groups {
+		clear(g.sum)
+		for _, p := range g.instances {
 			for i, v := range p.Grad {
-				sum[i] += v
+				g.sum[i] += v
 			}
 		}
-		for r := 0; r < e.cfg.D; r++ {
-			copy(instances[r*perReplica+pos].Grad, sum)
+		for _, p := range g.instances {
+			copy(p.Grad, g.sum)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -15,6 +17,11 @@ func tinyGPT() nn.GPTConfig {
 // charGPT is the Figure 9/10 model.
 func charGPT() nn.GPTConfig {
 	return nn.GPTConfig{Vocab: 24, Dim: 24, SeqLen: 12, Layers: 4, MLPMult: 2, Seed: 99}
+}
+
+// trainCfg is the benchmark's nn-train run (Figure 9's big batch).
+func trainCfg(mode Mode) Config {
+	return Config{GPT: charGPT(), P: 2, D: 2, MicroBatch: 8, BatchSize: 256, LR: 8e-3, DataSeed: 31, Mode: mode}
 }
 
 func cfgFor(p, d, m, batch int) Config {
@@ -176,6 +183,47 @@ func TestCheckpointResumeSameShape(t *testing.T) {
 	for i := range la {
 		if math.Abs(la[i]-lb[i]) > 1e-12 {
 			t.Fatalf("post-resume loss[%d] %.15f vs %.15f", i, la[i], lb[i])
+		}
+	}
+}
+
+// TestCheckpointSyncOnly checks that Save and Resume refuse the modes a
+// checkpoint cannot restore, naming the mode, and that a Sync resume at
+// Figure 10's configuration continues bit for bit as if never stopped.
+func TestCheckpointSyncOnly(t *testing.T) {
+	cfg := func(mode Mode) Config {
+		return Config{GPT: charGPT(), P: 4, D: 1, MicroBatch: 4, BatchSize: 64, LR: 3e-2, DataSeed: 33, Mode: mode}
+	}
+	for _, mode := range []Mode{TwoBW, StalePerMicro} {
+		e := mustEngine(t, cfg(mode))
+		e.Losses(1)
+		if err := e.Save(checkpoint.NewMemStore()); err == nil || !strings.Contains(err.Error(), mode.String()) {
+			t.Errorf("Save of a %v engine: error %v, want one naming the mode", mode, err)
+		}
+		store := checkpoint.NewMemStore()
+		if err := mustEngine(t, cfg(Sync)).Save(store); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Resume(cfg(mode), store); err == nil || !strings.Contains(err.Error(), mode.String()) {
+			t.Errorf("Resume as %v: error %v, want one naming the mode", mode, err)
+		}
+	}
+
+	want := mustEngine(t, cfg(Sync)).Losses(6)
+	store := checkpoint.NewMemStore()
+	first := mustEngine(t, cfg(Sync))
+	got := first.Losses(3)
+	if err := first.Save(store); err != nil {
+		t.Fatal(err)
+	}
+	second, err := Resume(cfg(Sync), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, second.Losses(3)...)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("step %d: resumed %.17g, straight %.17g", i, got[i], want[i])
 		}
 	}
 }
@@ -342,5 +390,43 @@ func TestTwoBWDelayedUpdates(t *testing.T) {
 	twoBWHot := mk(TwoBW, 3e-2)
 	if !(math.IsNaN(twoBWHot[29]) || avg(twoBWHot[25:]) > avg(syncHot[25:])) {
 		t.Fatalf("2BW at hot LR should trail sync: %v vs %v", avg(twoBWHot[25:]), avg(syncHot[25:]))
+	}
+}
+
+// TestStepAllocations pins the allocation-free steady state: once the
+// first Step has allocated the kept buffers, a Step at the nn-train
+// configuration allocates at most 128 KB on average, in every mode.
+func TestStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items on purpose")
+	}
+	const warm, steps, limit = 2, 8, 128 << 10
+	for _, mode := range []Mode{Sync, TwoBW, StalePerMicro} {
+		e := mustEngine(t, trainCfg(mode))
+		e.Losses(warm)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Losses(steps)
+		runtime.ReadMemStats(&after)
+		perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+		t.Logf("%v: %d bytes per Step", mode, perStep)
+		if perStep > limit {
+			t.Errorf("%v: %d bytes per Step, want at most %d", mode, perStep, limit)
+		}
+	}
+}
+
+// BenchmarkEngineStep is one Sync Step at the nn-train configuration,
+// after the first Step has allocated the kept buffers.
+func BenchmarkEngineStep(b *testing.B) {
+	e, err := New(trainCfg(Sync))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.Step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

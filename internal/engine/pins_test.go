@@ -8,8 +8,9 @@ import (
 )
 
 // The loss-bit pins: exact float64 bit patterns of loss sequences, so
-// any change to the kernels' summation order, the Block's buffer reuse
-// or the Sync/TwoBW schedules fails here, not as a drifted figure.
+// any change to the kernels' summation order, the layers' buffer reuse,
+// the stage slots or the Sync/TwoBW schedules fails here, not as a
+// drifted figure.
 //
 // The pinned bits are results of amd64 hosts with AVX and FMA. Go
 // rounds a*b + c there as two operations; on arm64, ppc64le, riscv64
@@ -35,8 +36,9 @@ func checkBits(t *testing.T, what string, got []float64, want []uint64) {
 
 // TestLossPinsTrain pins the benchmark's training run (Figure 9's big
 // batch: P=2 D=2 m=8 B=256, DataSeed 31) for 10 steps, and Eval(2)
-// after it: the held-out batches run the whole 3072-row batch through
-// every Block at once.
+// after it: each 3072-row held-out batch streams through the training
+// buffers 96 rows at a time, and must give the bits that one pass over
+// the whole batch gave.
 func TestLossPinsTrain(t *testing.T) {
 	e := mustEngine(t, Config{GPT: charGPT(), P: 2, D: 2, MicroBatch: 8, BatchSize: 256, LR: 8e-3, DataSeed: 31})
 	checkBits(t, "P=2 D=2 m=8", e.Losses(10), []uint64{

@@ -1,24 +1,78 @@
 package engine
 
 import (
+	"fmt"
+	"sync"
+
 	"repro/internal/nn"
 )
 
-// Messages between pipeline stages.
-type fwdMsg struct {
-	micro int
-	x     *nn.Matrix
+// pipe is one replica's stage hand-offs, kept across steps and
+// allocated at the first Step. The messages between stages carry only a
+// micro-batch index k; the data sits in slots. Stage s reads micro-batch
+// k's input from in[s][k] once k arrives on fwd[s], and, below the last
+// stage, its output gradient from dy[s][k] once k arrives on bwd[s].
+// Stage 0's inputs and the targets are views of the engine's kept
+// batch. Every other slot is written once per step, by the stage that
+// sends its index, which copies its last layer's output or its first
+// layer's input gradient in: the layer overwrites its own at its next
+// call. A slot is read until the step ends, so in[s][k] is also the
+// stash from which stage s recomputes micro-batch k's forward (§3.1).
+type pipe struct {
+	in, dy   [][]*nn.Matrix // [stage][micro]
+	targets  []*nn.Matrix   // [micro]
+	fwd, bwd []chan int     // [stage]
+	dl       *nn.Matrix     // the last stage's loss gradient
 }
 
-type bwdMsg struct {
-	micro int
-	dy    *nn.Matrix
+// newPipe allocates replica r's pipe over p stages.
+func (e *Engine) newPipe(r, p int) *pipe {
+	m := e.cfg.MicroBatch
+	perReplica := e.cfg.BatchSize / e.cfg.D
+	nm := perReplica / m
+	rows, dim := m*e.cfg.GPT.SeqLen, e.cfg.GPT.Dim
+	pp := &pipe{
+		in:      make([][]*nn.Matrix, p),
+		dy:      make([][]*nn.Matrix, p-1),
+		targets: make([]*nn.Matrix, nm),
+		fwd:     make([]chan int, p),
+		bwd:     make([]chan int, p-1),
+		dl:      nn.NewMatrix(rows, e.cfg.GPT.Vocab),
+	}
+	for s := range pp.in {
+		pp.in[s] = make([]*nn.Matrix, nm)
+		pp.fwd[s] = make(chan int, nm)
+	}
+	for s := range pp.dy {
+		pp.dy[s] = make([]*nn.Matrix, nm)
+		pp.bwd[s] = make(chan int, nm)
+	}
+	for k := 0; k < nm; k++ {
+		lo := r*perReplica + k*m
+		pp.in[0][k] = sliceRows(e.inputs, lo, m)
+		pp.targets[k] = sliceRows(e.targets, lo, m)
+		for s := 1; s < p; s++ {
+			pp.in[s][k] = nn.NewMatrix(rows, dim)
+		}
+		for s := range pp.dy {
+			pp.dy[s][k] = nn.NewMatrix(rows, dim)
+		}
+	}
+	return pp
 }
 
-// runPipeline streams nm micro-batches through this replica's stage
-// goroutines and returns the replica's examples-weighted mean loss.
-// Gradients accumulate into the stages' params; the caller reduces and
-// applies them.
+// fill copies a layer-owned result into its slot.
+func fill(slot, src *nn.Matrix) {
+	if slot.Rows != src.Rows || slot.Cols != src.Cols {
+		panic(fmt.Sprintf("engine: %dx%d result for a %dx%d slot", src.Rows, src.Cols, slot.Rows, slot.Cols))
+	}
+	copy(slot.Data, src.Data)
+}
+
+// runPipeline streams the step's micro-batches through this replica's
+// stage goroutines and returns the replica's examples-weighted mean
+// loss. Gradients accumulate into the stages' params; the caller
+// reduces and applies them.
 //
 // Stage behaviour follows Varuna's memory discipline: non-final stages
 // stash only their micro-batch *input* and drop forward contexts
@@ -28,43 +82,25 @@ type bwdMsg struct {
 // (§3.2). Backwards are preferred over forwards whenever both are
 // pending (rule 3), which also bounds the stash. StalePerMicro is the
 // exception; see runMidStage.
-func (e *Engine) runPipeline(stages []*stage, inputs, targets *nn.Matrix, nm int) float64 {
+func (e *Engine) runPipeline(stages []*stage, pp *pipe) float64 {
 	p := len(stages)
-	m := e.cfg.MicroBatch
-
-	actCh := make([]chan fwdMsg, p+1)
-	gradCh := make([]chan bwdMsg, p)
-	for i := range actCh {
-		actCh[i] = make(chan fwdMsg, nm)
+	for k := range pp.targets {
+		pp.fwd[0] <- k // feed the first stage
 	}
-	for i := range gradCh {
-		gradCh[i] = make(chan bwdMsg, nm)
-	}
-
-	// Feed the first stage.
-	go func() {
-		for k := 0; k < nm; k++ {
-			actCh[0] <- fwdMsg{micro: k, x: sliceRows(inputs, k*m, m)}
-		}
-	}()
-
-	lossCh := make(chan float64, 1)
-	stageDone := make(chan struct{}, p)
-	for s := 0; s < p; s++ {
-		s := s
+	var loss float64
+	var wg sync.WaitGroup
+	wg.Add(p)
+	for s, st := range stages {
 		go func() {
+			defer wg.Done()
 			if s == p-1 {
-				lossCh <- e.runLastStage(stages[s], actCh[s], gradCh[s], targets, nm)
+				loss = e.runLastStage(st, pp)
 			} else {
-				e.runMidStage(stages[s], actCh[s], actCh[s+1], gradCh[s], gradCh[s+1], nm)
+				e.runMidStage(st, pp)
 			}
-			stageDone <- struct{}{}
 		}()
 	}
-	loss := <-lossCh
-	for s := 0; s < p; s++ {
-		<-stageDone
-	}
+	wg.Wait()
 	return loss
 }
 
@@ -76,18 +112,19 @@ func (e *Engine) runPipeline(stages []*stage, inputs, targets *nn.Matrix, nm int
 // before it. Backward-first would leave that to goroutine timing, so
 // there the stage runs a fixed order instead: all nm forwards, then
 // all nm backwards — the most staleness backward-first can reach.
-func (e *Engine) runMidStage(st *stage, actIn, actOut chan fwdMsg, gradOut, gradIn chan bwdMsg, nm int) {
-	stash := make(map[int]*nn.Matrix)
-	forward := func(f fwdMsg) {
-		stash[f.micro] = f.x
-		actOut <- fwdMsg{micro: f.micro, x: stageForward(st, f.x)}
+func (e *Engine) runMidStage(st *stage, pp *pipe) {
+	s, nm := st.idx, len(pp.targets)
+	fwdIn, bwdIn := pp.fwd[s], pp.bwd[s]
+	forward := func(k int) {
+		fill(pp.in[s+1][k], stageForward(st, pp.in[s][k]))
+		pp.fwd[s+1] <- k
 	}
 	if e.cfg.Mode == StalePerMicro {
 		for k := 0; k < nm; k++ {
-			forward(<-actIn)
+			forward(<-fwdIn)
 		}
 		for k := 0; k < nm; k++ {
-			e.stageBackward(st, stash, <-gradIn, gradOut)
+			e.stageBackward(st, pp, <-bwdIn)
 		}
 		return
 	}
@@ -95,24 +132,23 @@ func (e *Engine) runMidStage(st *stage, actIn, actOut chan fwdMsg, gradOut, grad
 	for bwdDone < nm {
 		// Rule 3: drain ready backwards first.
 		select {
-		case g := <-gradIn:
-			e.stageBackward(st, stash, g, gradOut)
+		case k := <-bwdIn:
+			e.stageBackward(st, pp, k)
 			bwdDone++
 			continue
 		default:
 		}
 		if fwdDone < nm {
 			select {
-			case g := <-gradIn:
-				e.stageBackward(st, stash, g, gradOut)
+			case k := <-bwdIn:
+				e.stageBackward(st, pp, k)
 				bwdDone++
-			case f := <-actIn:
-				forward(f)
+			case k := <-fwdIn:
+				forward(k)
 				fwdDone++
 			}
 		} else {
-			g := <-gradIn
-			e.stageBackward(st, stash, g, gradOut)
+			e.stageBackward(st, pp, <-bwdIn)
 			bwdDone++
 		}
 	}
@@ -121,50 +157,41 @@ func (e *Engine) runMidStage(st *stage, actIn, actOut chan fwdMsg, gradOut, grad
 // runLastStage executes the final stage: forward, loss, immediate
 // backward (activations still hot — no recompute), returning the
 // examples-weighted mean loss.
-func (e *Engine) runLastStage(st *stage, actIn chan fwdMsg, gradOut chan bwdMsg, targets *nn.Matrix, nm int) float64 {
-	m := e.cfg.MicroBatch
+func (e *Engine) runLastStage(st *stage, pp *pipe) float64 {
+	s, nm := st.idx, len(pp.targets)
 	var lossSum float64
 	for done := 0; done < nm; done++ {
-		f := <-actIn
-		h := f.x
-		ctxs := make([]nn.Ctx, len(st.layers))
+		k := <-pp.fwd[s]
+		h := pp.in[s][k]
 		for i, l := range st.layers {
-			h, ctxs[i] = l.Forward(h)
+			h, st.ctxs[i] = l.Forward(h)
 		}
-		tgt := sliceRows(targets, f.micro*m, m)
-		loss, dl := nn.SoftmaxCrossEntropy(h, tgt, e.cfg.BatchSize)
-		lossSum += loss
-		dy := dl
-		for i := len(st.layers) - 1; i >= 0; i-- {
-			dy = st.layers[i].Backward(ctxs[i], dy)
-		}
-		if st.idx > 0 {
-			gradOut <- bwdMsg{micro: f.micro, dy: dy}
-		}
-		if e.cfg.Mode == StalePerMicro {
-			st.opt.Step(st.params)
-		}
+		lossSum += nn.SoftmaxCrossEntropy(0, h, pp.targets[k], pp.dl, e.cfg.BatchSize) / float64(h.Rows)
+		e.backward(st, pp, k, pp.dl)
 	}
 	return lossSum / float64(nm)
 }
 
-// stageBackward recomputes the stage's forward from the stashed input,
-// then backpropagates, releasing the stash slot.
-func (e *Engine) stageBackward(st *stage, stash map[int]*nn.Matrix, g bwdMsg, gradOut chan bwdMsg) {
-	x := stash[g.micro]
-	delete(stash, g.micro)
-	// Recompute: rebuild contexts from the stashed input (§3.1).
-	h := x
-	ctxs := make([]nn.Ctx, len(st.layers))
+// stageBackward recomputes the stage's forward for micro-batch k from
+// its stashed input (§3.1), then backpropagates.
+func (e *Engine) stageBackward(st *stage, pp *pipe, k int) {
+	h := pp.in[st.idx][k]
 	for i, l := range st.layers {
-		h, ctxs[i] = l.Forward(h)
+		h, st.ctxs[i] = l.Forward(h)
 	}
-	dy := g.dy
+	e.backward(st, pp, k, pp.dy[st.idx][k])
+}
+
+// backward propagates micro-batch k's output gradient dy through the
+// stage's contexts, hands the input gradient to the previous stage and,
+// under StalePerMicro, applies the stage's update.
+func (e *Engine) backward(st *stage, pp *pipe, k int, dy *nn.Matrix) {
 	for i := len(st.layers) - 1; i >= 0; i-- {
-		dy = st.layers[i].Backward(ctxs[i], dy)
+		dy = st.layers[i].Backward(st.ctxs[i], dy)
 	}
-	if st.idx > 0 {
-		gradOut <- bwdMsg{micro: g.micro, dy: dy}
+	if s := st.idx; s > 0 {
+		fill(pp.dy[s-1][k], dy)
+		pp.bwd[s-1] <- k
 	}
 	if e.cfg.Mode == StalePerMicro {
 		st.opt.Step(st.params)

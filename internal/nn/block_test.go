@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// The Block context contract: a context is valid until the Block's
-// next Forward, outputs belong to the caller, and the workspace is
-// sized to the call.
+// The Block context contract: a context and an output are valid until
+// the Block's next Forward, an input gradient until its next Backward,
+// and the one workspace is sized to the latest call.
 
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()
@@ -37,8 +37,8 @@ func TestBlockStaleCtxPanics(t *testing.T) {
 	mustPanic(t, "blk7", func() { b.Backward(ctx1, dy) })
 	b.Backward(ctx2, dy) // the latest context is live
 
-	// A Forward into a workspace of its own makes a context stale too,
-	// and so does the next Forward after it.
+	// A Forward of another row count, which replaces the workspace,
+	// makes a context stale too, and so does the next Forward after it.
 	_, ctx3 := b.Forward(x)
 	_, big := b.Forward(randMatrix(rng, 12, 8))
 	mustPanic(t, "stale", func() { b.Backward(ctx3, dy) })
@@ -52,55 +52,70 @@ func TestBlockStaleCtxPanics(t *testing.T) {
 	mustPanic(t, "blk7", func() { b.Backward(ctx4, dy) })
 }
 
-func TestBlockOutputOwnedByCaller(t *testing.T) {
+// TestBlockBuffersLiveUntilNextCall checks the Layer contract on a
+// Block: its output keeps its bits through its own Backward, its input
+// gradient through the next Forward, and the next call of each kind
+// writes the same buffer again.
+func TestBlockBuffersLiveUntilNextCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	b := NewBlock("blk", 8, 4, 2, rng)
 	x1, x2 := randMatrix(rng, 8, 8), randMatrix(rng, 8, 8)
-	y1, _ := b.Forward(x1)
-	keep := y1.Clone()
-	y2, ctx := b.Forward(x2)
-	dx := b.Backward(ctx, randMatrix(rng, 8, 8))
-	b.Forward(x1)
-	for i := range keep.Data {
-		if math.Float64bits(y1.Data[i]) != math.Float64bits(keep.Data[i]) {
-			t.Fatal("a later Forward changed an earlier Forward's output")
+	unchanged := func(what string, got, want *Matrix) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s changed element %d", what, i)
+			}
 		}
 	}
-	if &y1.Data[0] == &y2.Data[0] || &dx.Data[0] == &y2.Data[0] {
-		t.Fatal("outputs must not share storage")
+	y1, ctx := b.Forward(x1)
+	keepY := y1.Clone()
+	dx1 := b.Backward(ctx, randMatrix(rng, 8, 8))
+	unchanged("Backward: its Forward's output", y1, keepY)
+	keepDX := dx1.Clone()
+	y2, ctx := b.Forward(x2)
+	unchanged("Forward: the last Backward's input gradient", dx1, keepDX)
+	dx2 := b.Backward(ctx, randMatrix(rng, 8, 8))
+	if &y2.Data[0] != &y1.Data[0] || &dx2.Data[0] != &dx1.Data[0] {
+		t.Fatal("a call of the same size must reuse the Block's buffers")
+	}
+	if &y2.Data[0] == &dx2.Data[0] {
+		t.Fatal("the output and the input gradient must not share storage")
 	}
 }
 
+// TestBlockWorkspaceSizedToCall checks the workspace policy: a Block
+// keeps one workspace, a call of its size reuses it, and a call of
+// another size, such as an evaluation batch, replaces it.
 func TestBlockWorkspaceSizedToCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	small, big := randMatrix(rng, 8, 8), randMatrix(rng, 64, 8)
-	dy := randMatrix(rng, 8, 8)
-	wantSmall := func(b *Block, when string) {
+	b := NewBlock("blk", 8, 4, 2, rng)
+	want := func(rows int, when string) *blockWork {
 		t.Helper()
 		w := b.work
-		if w.rows != 8 || cap(w.h.Data) != 8*16 || cap(w.q.Data) != 8*8 || cap(w.probs) != 8*4 {
-			t.Fatalf("%s: the kept workspace has %d rows, cap(h) %d", when, w.rows, cap(w.h.Data))
+		if w.rows != rows || cap(w.h.Data) != rows*16 || cap(w.q.Data) != rows*8 ||
+			cap(w.probs) != rows*4 || cap(w.y.Data) != rows*8 || cap(w.dx.Data) != rows*8 {
+			t.Fatalf("%s: the workspace has %d rows, cap(h) %d, want %d rows", when, w.rows, cap(w.h.Data), rows)
 		}
+		return w
 	}
 
-	// An evaluation-sized call between training calls never becomes
-	// resident, and its context is usable until the next Forward.
-	b := NewBlock("blk", 8, 4, 2, rng)
-	b.Forward(small)
-	_, bigCtx := b.Forward(big)
-	wantSmall(b, "after a 64-row call")
-	b.Backward(bigCtx, randMatrix(rng, 64, 8))
 	_, ctx := b.Forward(small)
-	wantSmall(b, "after the next 8-row call")
-	b.Backward(ctx, dy)
-
-	// A Block whose first call is evaluation-sized drops that
-	// workspace at the first training-shape call.
-	b = NewBlock("blk", 8, 4, 2, rng)
-	b.Forward(big)
+	first := want(8, "after an 8-row call")
+	b.Backward(ctx, randMatrix(rng, 8, 8))
 	_, ctx = b.Forward(small)
-	wantSmall(b, "after a 64-row first call")
-	b.Backward(ctx, dy)
+	if want(8, "after the next 8-row call") != first {
+		t.Fatal("a call of the workspace's size must reuse it")
+	}
+	b.Backward(ctx, randMatrix(rng, 8, 8))
+
+	_, ctx = b.Forward(big)
+	want(64, "after a 64-row call")
+	b.Backward(ctx, randMatrix(rng, 64, 8))
+	_, ctx = b.Forward(small)
+	want(8, "after an 8-row call again")
+	b.Backward(ctx, randMatrix(rng, 8, 8))
 }
 
 // TestBlockReuseBitIdentical runs one Forward+Backward on a Block

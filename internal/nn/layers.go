@@ -14,13 +14,16 @@ import (
 // re-running forward from the stashed input — exactly Varuna's
 // recompute (§3.1).
 //
-// The output of Forward and the input gradient of Backward are freshly
-// allocated and belong to the caller. A context may refer to the
-// layer's own buffers: a Block keeps its forward intermediates in a
-// workspace that later Forwards overwrite, so a Block's context is
-// valid only until that Block's next Forward, and Backward panics on a
-// context a later Forward has invalidated. Backward reads the input
-// Forward was given, so that must not change in between either.
+// Forward's output stays valid until the layer's next Forward, and
+// Backward's input gradient until its next Backward; a caller that
+// needs either one longer copies it. The Block, Embedding and
+// OutputProjection return buffers of their own, which those calls
+// overwrite. A context may refer to the layer's own buffers too: a
+// Block keeps its forward intermediates in a workspace that later
+// Forwards overwrite, so a Block's context is valid only until that
+// Block's next Forward, and Backward panics on a context a later
+// Forward has invalidated. Backward reads the input Forward was given,
+// so that must not change in between either.
 type Layer interface {
 	// Forward computes the layer output for x.
 	Forward(x *Matrix) (*Matrix, Ctx)
@@ -308,6 +311,8 @@ type Embedding struct {
 	SeqLen     int
 	W          *Param // Vocab×Dim
 	Pos        *Param // SeqLen×Dim
+
+	out buffer // Forward's output
 }
 
 // NewEmbedding builds an embedding table.
@@ -328,7 +333,7 @@ func (e *Embedding) Forward(ids *Matrix) (*Matrix, Ctx) {
 	if t != e.SeqLen {
 		panic(fmt.Sprintf("nn: embedding expects seq %d, got %d", e.SeqLen, t))
 	}
-	y := NewMatrix(b*t, e.Dim)
+	y := e.out.shape(b*t, e.Dim) // every element is written below
 	for i := 0; i < b; i++ {
 		for j := 0; j < t; j++ {
 			id := int(ids.At(i, j))
@@ -385,6 +390,8 @@ type OutputProjection struct {
 	name       string
 	Vocab, Dim int
 	W          *Param
+
+	out, dx buffer // Forward's logits and Backward's input gradient
 }
 
 // NewOutputProjection ties the projection to the embedding weight by
@@ -402,21 +409,32 @@ func NewOutputProjection(name string, emb *Embedding) *OutputProjection {
 
 type projCtx struct{ x *Matrix }
 
+// weight views W as a Vocab×Dim matrix.
+func (o *OutputProjection) weight() *Matrix {
+	return &Matrix{Rows: o.Vocab, Cols: o.Dim, Data: o.W.Value}
+}
+
 // Forward implements Layer.
 func (o *OutputProjection) Forward(x *Matrix) (*Matrix, Ctx) {
-	w := &Matrix{Rows: o.Vocab, Cols: o.Dim, Data: o.W.Value}
-	return MatMulABT(x, w), projCtx{x: x}
+	y := o.out.shape(x.Rows, o.Vocab)
+	matMulABTInto(y, x, o.weight())
+	return y, projCtx{x: x}
 }
 
 // Backward implements Layer.
 func (o *OutputProjection) Backward(ctx Ctx, dy *Matrix) *Matrix {
 	c := ctx.(projCtx)
-	dW := MatMulATB(dy, c.x) // Vocab×Dim
+	s := getScratch()
+	dW := s.dW.shape(o.Vocab, o.Dim)
+	matMulATBInto(dW, dy, c.x)
+	grad := o.W.Grad[:len(dW.Data)]
 	for i, v := range dW.Data {
-		o.W.Grad[i] += v
+		grad[i] += v
 	}
-	w := &Matrix{Rows: o.Vocab, Cols: o.Dim, Data: o.W.Value}
-	return MatMul(dy, w)
+	putScratch(s)
+	dx := o.dx.shape(dy.Rows, o.Dim)
+	matMulInto(dx, dy, o.weight())
+	return dx
 }
 
 // Params implements Layer.

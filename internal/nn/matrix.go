@@ -74,27 +74,6 @@ func simdGroups(n, kn, m int) int {
 	return m / 8
 }
 
-// MatMul returns a·b.
-func MatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	matMulInto(out, a, b)
-	return out
-}
-
-// MatMulATB returns aᵀ·b (used for weight gradients).
-func MatMulATB(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, b.Cols)
-	matMulATBInto(out, a, b)
-	return out
-}
-
-// MatMulABT returns a·bᵀ (used for input gradients).
-func MatMulABT(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Rows)
-	matMulABTInto(out, a, b)
-	return out
-}
-
 // matMulInto writes a·b into out.
 func matMulInto(out, a, b *Matrix) {
 	if a.Cols != b.Rows {

@@ -28,8 +28,9 @@ func checkLayerGrads(t *testing.T, l Layer, x *Matrix, tol float64) {
 	for _, p := range l.Params() {
 		p.ZeroGrad()
 	}
-	y2, ctx := l.Forward(x)
-	_ = y2
+	_, ctx := l.Forward(x)
+	// dx is read only before the layer's next Backward, as long as the
+	// Layer contract keeps it: loss runs Forwards alone.
 	dx := l.Backward(ctx, w.Clone())
 
 	const h = 1e-6
@@ -162,18 +163,19 @@ func TestSoftmaxCrossEntropyGradient(t *testing.T) {
 	for i := range targets.Data {
 		targets.Data[i] = float64(rng.Intn(5))
 	}
-	_, dl := SoftmaxCrossEntropy(logits, targets, 3)
+	dl := NewMatrix(6, 5)
+	SoftmaxCrossEntropy(0, logits, targets, dl, 3)
 	const h = 1e-6
 	for _, i := range sampleIdx(rng, len(logits.Data), 10) {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + h
-		lp, _ := SoftmaxCrossEntropy(logits, targets, 3)
+		lp := SoftmaxCrossEntropy(0, logits, targets, nil, 3)
 		logits.Data[i] = orig - h
-		lm, _ := SoftmaxCrossEntropy(logits, targets, 3)
+		lm := SoftmaxCrossEntropy(0, logits, targets, nil, 3)
 		logits.Data[i] = orig
-		// Loss returns mean over B·T rows; gradient is scaled for a
-		// sum over (totalExamples·T): identical here since total=B.
-		num := (lp - lm) / (2 * h) * float64(6)
+		// The loss is a sum over the B·T rows; the gradient is scaled
+		// for a mean over totalExamples·T: 3·2 rows here too.
+		num := (lp - lm) / (2 * h)
 		ana := dl.Data[i] * float64(3*2)
 		if relErr(num, ana) > 1e-4 {
 			t.Errorf("loss grad[%d]: numeric %g vs analytic %g", i, num, ana)
@@ -184,28 +186,19 @@ func TestSoftmaxCrossEntropyGradient(t *testing.T) {
 func TestMatrixOps(t *testing.T) {
 	a := &Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
 	b := &Matrix{Rows: 3, Cols: 2, Data: []float64{7, 8, 9, 10, 11, 12}}
-	c := MatMul(a, b)
+	c := NewMatrix(2, 2)
+	matMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
 			t.Fatalf("matmul[%d] = %v, want %v", i, c.Data[i], v)
 		}
 	}
-	// aᵀ·(a·b) and (a·b)·bᵀ shapes.
-	atb := MatMulATB(a, c) // 3x2
-	if atb.Rows != 3 || atb.Cols != 2 {
-		t.Fatal("ATB shape")
-	}
-	abt := MatMulABT(c, b) // 2x3... c is 2x2, b is 3x2 → 2x3
-	if abt.Rows != 2 || abt.Cols != 3 {
-		t.Fatal("ABT shape")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch must panic")
-		}
-	}()
-	MatMul(a, a)
+	// aᵀ·(a·b) is 3×2 and (a·b)·bᵀ is 2×3; a wrong out shape panics.
+	matMulATBInto(NewMatrix(3, 2), a, c)
+	matMulABTInto(NewMatrix(2, 3), c, b)
+	mustPanic(t, "output is 2x2", func() { matMulABTInto(NewMatrix(2, 2), c, b) })
+	mustPanic(t, "shape mismatch", func() { matMulInto(NewMatrix(2, 3), a, a) })
 }
 
 func TestAdamConvergesQuadratic(t *testing.T) {
@@ -273,7 +266,8 @@ func TestBuildGPTStructure(t *testing.T) {
 		t.Fatalf("logits shape %dx%d, want 8x17", h.Rows, h.Cols)
 	}
 	targets := NewMatrix(2, 4)
-	loss, dl := SoftmaxCrossEntropy(h, targets, 2)
+	dl := NewMatrix(h.Rows, h.Cols)
+	loss := SoftmaxCrossEntropy(0, h, targets, dl, 2)
 	if math.IsNaN(loss) || loss <= 0 {
 		t.Fatalf("loss = %v", loss)
 	}
@@ -286,13 +280,16 @@ func TestBuildGPTStructure(t *testing.T) {
 func TestRecomputeReproducesForward(t *testing.T) {
 	// The engine's recompute contract: re-running Forward on the same
 	// input yields bit-identical activations and a usable fresh ctx.
+	// The second Forward overwrites the first one's output, so keep a
+	// copy of it.
 	rng := rand.New(rand.NewSource(11))
 	b := NewBlock("blk", 8, 4, 2, rng)
 	x := randMatrix(rng, 8, 8)
-	y1, _ := b.Forward(x)
+	y, _ := b.Forward(x)
+	y1 := y.Clone()
 	y2, ctx2 := b.Forward(x)
 	for i := range y1.Data {
-		if y1.Data[i] != y2.Data[i] {
+		if math.Float64bits(y1.Data[i]) != math.Float64bits(y2.Data[i]) {
 			t.Fatal("forward must be deterministic for recompute")
 		}
 	}

@@ -11,9 +11,10 @@ import (
 // self-attention and a GELU MLP, each with a residual connection. It
 // is the repeated unit the cut-point machinery partitions (§5.1).
 //
-// A Block keeps its forward intermediates in a workspace that later
-// Forwards overwrite: a context is valid until the Block's next Forward
-// (see Layer).
+// A Block keeps its forward intermediates, its output and its input
+// gradient in a workspace: a context and an output are valid until the
+// Block's next Forward, an input gradient until its next Backward (see
+// Layer).
 type Block struct {
 	name   string
 	Dim    int
@@ -42,8 +43,8 @@ func NewBlock(name string, dim, seqLen, mlpMult int, rng *rand.Rand) *Block {
 	}
 }
 
-// blockWork is a Block's forward workspace for one row count: every
-// intermediate its Backward reads.
+// blockWork is a Block's workspace for one row count: every forward
+// intermediate its Backward reads, the output and the input gradient.
 type blockWork struct {
 	rows       int
 	n1, n2     *Matrix   // ln1 and ln2 outputs
@@ -55,13 +56,12 @@ type blockWork struct {
 	mid        *Matrix   // wo output plus the residual
 	h, g       *Matrix   // fc1 output and its GELU
 	th         *Matrix   // GELU's tanh term of each element of h
+	y, dx      *Matrix   // Forward's output and Backward's input gradient
 }
 
 // workspace returns a workspace sized to a rows-row input. The Block
 // keeps one workspace, allocated lazily: a call of its size reuses it
-// and a smaller call replaces it. A larger call, such as a full-batch
-// evaluation, gets a workspace of its own that only its context holds,
-// so it is freed with the context instead of staying resident.
+// and a call of another size replaces it.
 func (b *Block) workspace(rows int) *blockWork {
 	if w := b.work; w != nil && w.rows == rows {
 		return w
@@ -78,10 +78,9 @@ func (b *Block) workspace(rows int) *blockWork {
 		mid:   NewMatrix(rows, b.Dim),
 		h:     NewMatrix(rows, hidden), g: NewMatrix(rows, hidden),
 		th: NewMatrix(rows, hidden),
+		y:  NewMatrix(rows, b.Dim), dx: NewMatrix(rows, b.Dim),
 	}
-	if b.work == nil || rows < b.work.rows {
-		b.work = w
-	}
+	b.work = w
 	return w
 }
 
@@ -117,10 +116,9 @@ func (b *Block) Forward(x *Matrix) (*Matrix, Ctx) {
 	b.ln2.forwardInto(w.n2, w.xh2, w.inv2, w.mid)
 	b.fc1.forwardInto(w.h, w.n2)
 	geluKeepInto(w.g, w.th, w.h)
-	y := NewMatrix(x.Rows, b.Dim)
-	b.fc2.forwardInto(y, w.g)
-	AddInPlace(y, w.mid) // residual
-	return y, blockCtx{work: w, gen: b.gen}
+	b.fc2.forwardInto(w.y, w.g)
+	AddInPlace(w.y, w.mid) // residual
+	return w.y, blockCtx{work: w, gen: b.gen}
 }
 
 // attend fills w.probs with the causal softmax of q·kᵀ/√Dim and w.att
@@ -200,11 +198,10 @@ func (b *Block) Backward(ctx Ctx, dy *Matrix) *Matrix {
 	AddInPlace(dn, dctx)
 	b.wv.backwardInto(dctx, w.n1, dv, s)
 	AddInPlace(dn, dctx)
-	dx := NewMatrix(rows, b.Dim)
-	b.ln1.backwardInto(dx, w.xh1, w.inv1, dn, s)
-	AddInPlace(dx, dmid)
+	b.ln1.backwardInto(w.dx, w.xh1, w.inv1, dn, s)
+	AddInPlace(w.dx, dmid)
 	putScratch(s)
-	return dx
+	return w.dx
 }
 
 // attendBackward accumulates the q, k and v gradients of attend for
@@ -264,18 +261,23 @@ func (b *Block) Name() string { return b.name }
 
 // ---- Loss ----------------------------------------------------------
 
-// SoftmaxCrossEntropy computes the mean cross-entropy of logits
-// [B·T, V] against targets [B, T] (token ids), and the logits gradient
-// scaled for a sum over totalExamples examples (so micro-batch
-// gradients accumulate to exactly the full-batch gradient).
-func SoftmaxCrossEntropy(logits *Matrix, targets *Matrix, totalExamples int) (float64, *Matrix) {
+// SoftmaxCrossEntropy adds the cross-entropy of each row of logits
+// [B·T, V] against targets [B, T] (token ids) to loss, in row order,
+// and returns the total: the mean is the total over the rows summed. So a
+// batch summed chunk by chunk, each call carrying the last one's total,
+// gives the bits of one call over the whole batch. Into a non-nil dl,
+// shaped like logits, it writes the logits gradient scaled for a sum
+// over totalExamples examples (so micro-batch gradients accumulate to
+// exactly the full-batch gradient); a nil dl computes the loss only.
+func SoftmaxCrossEntropy(loss float64, logits, targets, dl *Matrix, totalExamples int) float64 {
 	bt := logits.Rows
 	t := targets.Cols
 	if targets.Rows*t != bt {
 		panic(fmt.Sprintf("nn: loss shape mismatch: %d logits rows vs %d targets", bt, targets.Rows*t))
 	}
-	dl := NewMatrix(bt, logits.Cols)
-	var loss float64
+	if dl != nil {
+		checkOut(dl, bt, logits.Cols)
+	}
 	denom := float64(totalExamples * t)
 	for r := 0; r < bt; r++ {
 		row := logits.Row(r)
@@ -287,22 +289,30 @@ func SoftmaxCrossEntropy(logits *Matrix, targets *Matrix, totalExamples int) (fl
 			}
 		}
 		// drow keeps each exp(v − max) until the sum is known.
-		drow := dl.Row(r)[:len(row)]
+		var drow []float64
+		if dl != nil {
+			drow = dl.Row(r)[:len(row)]
+		}
 		var sum float64
 		for j, v := range row {
 			e := math.Exp(v - maxv)
-			drow[j] = e
+			if drow != nil {
+				drow[j] = e
+			}
 			sum += e
 		}
 		logZ := math.Log(sum) + maxv
 		loss += logZ - row[target]
+		if drow == nil {
+			continue
+		}
 		for j, e := range drow {
 			p := e / sum
 			drow[j] = p / denom
 		}
 		drow[target] -= 1 / denom
 	}
-	return loss / float64(bt), dl
+	return loss
 }
 
 // ---- Model builder --------------------------------------------------
