@@ -216,7 +216,8 @@ func (c *costCache) estimate(in Inputs, dp *depthPlan, mp microPlan) (simtime.Du
 	// Miss (or an Nm mismatch): compute what is missing outside the
 	// lock. Two workers racing on the same fresh key duplicate the
 	// work but store identical values, which keeps the hot path free
-	// of per-key latches.
+	// of per-key latches. A miss takes the makespan presimulate found,
+	// if any; an entry at another Nm is simulated on its own costs.
 	c.misses.Add(1)
 	costs := mp.costs
 	switch {
@@ -229,9 +230,12 @@ func (c *costCache) estimate(in Inputs, dp *depthPlan, mp microPlan) (simtime.Du
 		}
 		c.costComputes.Add(1)
 	}
-	est, err := sim.EstimateMakespan(simConfig(dp.p, mp.nm, costs))
-	if err != nil {
-		return 0, err
+	est := mp.est
+	if ok || est <= 0 {
+		var err error
+		if est, err = sim.EstimateMakespan(simConfig(dp.p, mp.nm, costs)); err != nil {
+			return 0, err
+		}
 	}
 	c.simAnchors.Add(1)
 	c.store(key, &costEntry{costs: costs, nm: mp.nm, est: est})
@@ -269,10 +273,14 @@ type depthPlan struct {
 }
 
 // microPlan is one micro-batch size of a depthPlan. costs, when set,
-// were assembled or found cached by the bound pass.
+// were assembled or found cached by the bound pass, and cached reports
+// that the pass found an estimate at nm. est, when positive, is the
+// makespan of costs at nm that presimulate ran ahead of the commit.
 type microPlan struct {
-	m, nm int
-	costs []sim.StageCosts
+	m, nm  int
+	costs  []sim.StageCosts
+	cached bool
+	est    simtime.Duration
 }
 
 // planDepth partitions the model for depth p and picks the micro-batch
@@ -290,6 +298,48 @@ func planDepth(in Inputs, p, d int) (depthPlan, error) {
 		dp.micros = append(dp.micros, microPlan{m: m, nm: GradAccum(in.MTotal, m, d)})
 	}
 	return dp, nil
+}
+
+// presimulate runs, on min(GOMAXPROCS, n) workers with the caller as
+// one, the n simulations evaluate will need: every size whose costs the
+// bound pass left but whose estimate it did not find cached. The runs
+// touch neither the cache nor its counters. evaluate then commits every
+// size serially, in size order, so the cache contents and counters do
+// not depend on GOMAXPROCS. evaluate simulates inline a size whose
+// estimate was cached at bound time but is evicted before its commit,
+// and a size whose run here failed, so that its error comes back
+// there. A size the commit never reaches, because an earlier size
+// errored, is neither cached nor counted.
+func (dp *depthPlan) presimulate() {
+	n := 0
+	for _, mp := range dp.micros {
+		if mp.costs != nil && !mp.cached {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	var next atomic.Int32
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(dp.micros); i = int(next.Add(1)) - 1 {
+			if mp := &dp.micros[i]; mp.costs != nil && !mp.cached {
+				if est, err := sim.EstimateMakespan(simConfig(dp.p, mp.nm, mp.costs)); err == nil {
+					mp.est = est
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // assemble builds the per-stage simulator costs at micro-batch size m.

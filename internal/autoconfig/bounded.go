@@ -13,9 +13,10 @@ import (
 // (P, D) shapes the sweeps of the decision's fleet levels take, first
 // occurrence kept, each with a makespan bound per micro-batch size. A
 // depth is simulated only when the decision rule cannot rule it out
-// by its bound. Simulation is serial, in an order that depends only on
-// the inputs and the cache contents, never on GOMAXPROCS or goroutine
-// timing.
+// by its bound. Depths are simulated one at a time, in an order that
+// depends only on the inputs and the cache contents, never on
+// GOMAXPROCS or goroutine timing; within a depth, presimulate runs the
+// micro-batch sizes concurrently and evaluate commits them serially.
 type candSet struct {
 	in     Inputs
 	g      int
@@ -97,7 +98,7 @@ func (dp *depthPlan) bounds(in Inputs, cache *costCache) []simtime.Duration {
 		if err != nil {
 			return nil
 		}
-		mp.costs = costs
+		mp.costs, mp.cached = costs, exact
 		if !exact {
 			if est = sim.MakespanLowerBound(simConfig(dp.p, mp.nm, costs)); est <= 0 {
 				return nil
@@ -133,6 +134,7 @@ func (s *candSet) simulate(i int) bool {
 	d := &s.depths[i]
 	if !d.simulated {
 		d.simulated = true
+		d.plan.presimulate()
 		c, err := d.plan.evaluate(s.in, s.cache)
 		d.choice, d.ok = c, err == nil
 	}

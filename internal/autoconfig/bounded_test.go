@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/simtime"
 )
 
 // decided is one Best outcome in comparable form.
@@ -83,27 +84,96 @@ func TestPlannerBestBoundedExact(t *testing.T) {
 	}
 }
 
-// TestPlannerBestDeterministic: which candidates the bounded Best
-// simulates depends on the inputs alone, so the planner's counters
-// after a fixed call sequence do not move with GOMAXPROCS.
-func TestPlannerBestDeterministic(t *testing.T) {
-	in := inputsFor(t, model.GPT2Megatron8B(), 71)
-	run := func(procs int) PlannerStats {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		pl := NewPlanner(in)
-		for _, g := range []int{128, 96, 128, 160, 112, 96} {
-			if _, err := pl.Best(g); err != nil {
-				t.Fatal(err)
+// TestDecisionsIndependentOfGOMAXPROCS: a bounded decision simulates
+// each depth's micro-batch sizes concurrently and commits them
+// serially, in size order. So its choices, errors, PlannerStats and
+// ExportState bytes are the same at GOMAXPROCS 1, 2 and 8: for Best,
+// and for BestFor's min-$, its deadline with and without a required
+// rate, and its simulate-everything fallback (no price). Three planners
+// decide: a cold one, one warmed by ImportState, and a capped one whose
+// cache evicts during decisions, so that some sizes cached at bound
+// time are simulated at their commit. At this cap, which keys survive
+// depends on the order of the commits.
+func TestDecisionsIndependentOfGOMAXPROCS(t *testing.T) {
+	in := inputsFor(t, model.GPT2XL2B(), 53)
+	minDollar := Objective{Kind: ObjMinDollarPerExample}
+	deadline := Objective{Kind: ObjDeadline, DeadlineAt: simtime.Time(24 * simtime.Hour), TargetExamples: 5e6}
+	// Seven sweeps: five dollar decisions and two Best memo misses; the
+	// last Best hits the memo.
+	cases := []dollarCase{
+		{40, Objective{}, Econ{}},
+		{40, minDollar, Econ{PerGPUHour: 2.4, MeanPerGPUHour: 2.4}},
+		{32, deadline, Econ{PerGPUHour: 4.3, MeanPerGPUHour: 2.4, Now: simtime.Time(6 * simtime.Hour), DoneExamples: 1e6}},
+		{24, deadline, Econ{PerGPUHour: 1.2, MeanPerGPUHour: 2.4, Now: simtime.Time(20 * simtime.Hour), DoneExamples: 5e6}},
+		{36, minDollar, Econ{}},
+		{40, minDollar, Econ{PerGPUHour: 7.2, MeanPerGPUHour: 2.4, PreemptEvery: 20 * simtime.Minute, CheckpointEvery: 50}},
+		{56, Objective{}, Econ{}},
+		{40, Objective{}, Econ{}},
+	}
+	if r := requiredRate(cases[2].obj, cases[2].ec); !(r > 0) {
+		t.Fatalf("the live deadline requires no rate (%v)", r)
+	}
+	if r := requiredRate(cases[3].obj, cases[3].ec); r != 0 {
+		t.Fatalf("the met deadline requires a rate (%v)", r)
+	}
+
+	type outcome struct {
+		decisions []decided
+		stats     PlannerStats
+		state     string
+	}
+	decideAll := func(pl *Planner, cs []dollarCase) outcome {
+		var out outcome
+		for _, c := range cs {
+			if c.obj.Kind == ObjMaxThroughput {
+				out.decisions = append(out.decisions, decide(pl.Best(c.g)))
+			} else {
+				out.decisions = append(out.decisions, decide(pl.BestFor(c.g, c.obj, c.ec)))
 			}
 		}
-		return pl.Stats()
+		state, err := pl.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.stats, out.state = pl.Stats(), string(state)
+		return out
 	}
-	one, four := run(1), run(4)
-	if one != four {
-		t.Fatalf("planner stats depend on GOMAXPROCS\n1: %+v\n4: %+v", one, four)
-	}
-	if one.Sweeps != 4 || one.DecisionHits != 2 || one.DecisionMisses != 4 {
-		t.Fatalf("each memo miss counts one sweep: %+v", one)
+	warm := decideAll(NewPlanner(in), cases[:2]).state
+
+	for _, pc := range []struct {
+		name  string
+		build func() *Planner
+	}{
+		{"cold", func() *Planner { return NewPlanner(in) }},
+		{"imported", func() *Planner {
+			pl := NewPlanner(in)
+			if err := pl.ImportState([]byte(warm)); err != nil {
+				t.Fatal(err)
+			}
+			return pl
+		}},
+		{"capped", func() *Planner { return NewPlannerCapped(in, 32, 2) }},
+	} {
+		var want outcome
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := decideAll(pc.build(), cases)
+			runtime.GOMAXPROCS(prev)
+			if procs == 1 {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got.decisions, want.decisions) || got.stats != want.stats || got.state != want.state {
+				t.Fatalf("%s planner at GOMAXPROCS %d differs from GOMAXPROCS 1 (decisions equal %v, state equal %v)\n1: %+v\n%d: %+v",
+					pc.name, procs, reflect.DeepEqual(got.decisions, want.decisions), got.state == want.state, want.stats, procs, got.stats)
+			}
+		}
+		switch s := want.stats; {
+		case pc.name == "cold" && (s.Sweeps != 7 || s.DecisionMisses != 2 || s.DecisionHits != 1):
+			t.Fatalf("each Best memo miss and each dollar decision counts one sweep: %+v", s)
+		case pc.name == "capped" && s.CostEvictions == 0:
+			t.Fatalf("a cap of 32 cost keys must evict during the decisions: %+v", s)
+		}
 	}
 }
 

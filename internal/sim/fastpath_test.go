@@ -140,6 +140,44 @@ func TestPooledExecutorIsolation(t *testing.T) {
 	}
 }
 
+// TestExecutorBuffers: reset sizes each flat backing array once per
+// run. A fresh executor reserves exactly what the run carves: per
+// stage and micro-batch, three instants and three flags, plus two
+// instants under SyncComm and a flag under a strict policy. A later
+// reset to a smaller config allocates nothing.
+func TestExecutorBuffers(t *testing.T) {
+	const p, nm = 6, 40
+	big, err := schedule.OneFOneB(p, nm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := schedule.OneFOneB(4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		policy          schedule.Policy
+		orders, smaller []schedule.Order
+		instants, flags int
+	}{
+		{schedule.Varuna, nil, nil, 3, 3},
+		{schedule.DeepSpeedP, big.Orders, small.Orders, 5, 4},
+	} {
+		e := newExecutor()
+		e.reset(Config{Depth: p, Micros: nm, Policy: c.policy, Orders: c.orders, Costs: UnitCosts(p, unit)})
+		if got, want := cap(e.timeBuf), c.instants*p*nm; got != want {
+			t.Errorf("%s: fresh executor reserved %d instants, want %d", c.policy.Name, got, want)
+		}
+		if got, want := cap(e.boolBuf), c.flags*p*nm; got != want {
+			t.Errorf("%s: fresh executor reserved %d flags, want %d", c.policy.Name, got, want)
+		}
+		cfg := Config{Depth: 4, Micros: 10, Policy: c.policy, Orders: c.smaller, Costs: UnitCosts(4, unit)}
+		if allocs := testing.AllocsPerRun(10, func() { e.reset(cfg) }); allocs != 0 {
+			t.Errorf("%s: reset to a smaller config allocated %v times", c.policy.Name, allocs)
+		}
+	}
+}
+
 func TestMicrosLimit(t *testing.T) {
 	if _, err := Run(Config{Depth: 1, Micros: 1 << 24, Policy: schedule.Varuna, Costs: UnitCosts(1, unit)}); err == nil {
 		t.Fatal("Nm at the 2^24 packing limit must be rejected")

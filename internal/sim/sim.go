@@ -147,7 +147,7 @@ type stageState struct {
 	fwdDone       []bool
 	recDone       []bool
 	bwdDone       []bool
-	fwdSenderEnd  []simtime.Time // for SyncComm: when sender finished computing
+	fwdSenderEnd  []simtime.Time // SyncComm only (else nil): when sender finished computing
 	gradSenderEnd []simtime.Time
 
 	hot       int    // micro whose activations are still resident (-1 none)
@@ -167,9 +167,10 @@ type stageState struct {
 
 // executor simulates one mini-batch. Instances are pooled: all
 // per-stage bookkeeping slices point into the flat timeBuf/boolBuf/
-// orderBuf backing arrays, which are resized (not reallocated) between
-// runs, and the event callback is registered on the instance's queue
-// once, so the hot path schedules plain (handle, a, b) nodes.
+// orderBuf backing arrays, which reset sizes once per run and which
+// are reused (not reallocated) across runs, and the event callback is
+// registered on the instance's queue once, so the hot path schedules
+// plain (handle, a, b) nodes.
 type executor struct {
 	cfg    Config
 	q      simtime.EventQueue
@@ -236,30 +237,30 @@ func newExecutor() *executor {
 // packTask encodes a task for the two-int32 event-callback channel.
 func packTask(t schedule.Task) int32 { return int32(t.Kind)<<24 | int32(t.Micro) }
 
-// grab carves n slots off buf, growing it as needed. Slices carved
-// before a growth keep aliasing the old backing array — harmless,
-// since every carved slice is private to one stage.
-func grab[T any](buf *[]T, n int) []T {
-	s := *buf
-	off := len(s)
-	if cap(s)-off < n {
-		grown := make([]T, off, 2*(off+n))
-		copy(grown, s)
-		s = grown
+// reserve empties buf and makes room for n slots: the exact count on
+// first use, at least twice the old capacity when it must grow.
+func reserve[T any](buf *[]T, n int) {
+	if cap(*buf) < n {
+		*buf = make([]T, 0, max(n, 2*cap(*buf)))
 	}
-	s = s[:off+n]
-	*buf = s
-	return s[off : off+n : off+n]
+	*buf = (*buf)[:0]
 }
 
-// reset prepares the pooled executor for a new run of cfg.
+// grab carves the next n slots off buf, which reserve sized for them.
+func grab[T any](buf *[]T, n int) []T {
+	off := len(*buf)
+	*buf = (*buf)[:off+n]
+	return (*buf)[off : off+n : off+n]
+}
+
+// reset prepares the pooled executor for a new run of cfg. Each stage
+// keeps three instants and three flags per micro-batch, plus two more
+// instants under SyncComm and a recompute flag per micro-batch and a
+// done flag per order entry under a strict policy.
 func (e *executor) reset(cfg Config) {
 	e.cfg = cfg
 	e.opport = 0
 	e.q.Reset()
-	e.timeBuf = e.timeBuf[:0]
-	e.boolBuf = e.boolBuf[:0]
-	e.orderBuf = e.orderBuf[:0]
 	e.trace = nil
 	if cfg.CollectTrace {
 		e.trace = make([]TaskSpan, 0, 3*cfg.Depth*cfg.Micros)
@@ -270,41 +271,61 @@ func (e *executor) reset(cfg Config) {
 		e.stages = e.stages[:cfg.Depth]
 	}
 	nm := cfg.Micros
+	syncComm, strict := cfg.Policy.SyncComm, !cfg.Policy.Rule
+	times, flags, orders := 3, 3, 0
+	if syncComm {
+		times += 2
+	}
+	if strict {
+		flags++
+		for _, o := range cfg.Orders {
+			orders += len(o)
+		}
+	}
+	reserve(&e.timeBuf, times*cfg.Depth*nm)
+	reserve(&e.boolBuf, flags*cfg.Depth*nm)
+	reserve(&e.orderBuf, orders)
 	for s := 0; s < cfg.Depth; s++ {
 		st := &e.stages[s]
 		*st = stageState{
-			idx:           s,
-			actArrival:    grab(&e.timeBuf, nm),
-			gradArrival:   grab(&e.timeBuf, nm),
-			gradAnnounce:  grab(&e.timeBuf, nm),
-			fwdSenderEnd:  grab(&e.timeBuf, nm),
-			gradSenderEnd: grab(&e.timeBuf, nm),
-			fwdDone:       grab(&e.boolBuf, nm),
-			recDone:       grab(&e.boolBuf, nm),
-			bwdDone:       grab(&e.boolBuf, nm),
-			hot:           -1,
-			locked:        -1,
-			bwdLeft:       nm,
-			bwdLow:        0,
-			fwdHi:         0,
-			wakeAt:        never,
+			idx:          s,
+			actArrival:   grab(&e.timeBuf, nm),
+			gradArrival:  grab(&e.timeBuf, nm),
+			gradAnnounce: grab(&e.timeBuf, nm),
+			fwdDone:      grab(&e.boolBuf, nm),
+			recDone:      grab(&e.boolBuf, nm),
+			bwdDone:      grab(&e.boolBuf, nm),
+			hot:          -1,
+			locked:       -1,
+			bwdLeft:      nm,
+			bwdLow:       0,
+			fwdHi:        0,
+			wakeAt:       never,
 		}
 		for m := 0; m < nm; m++ {
 			st.gradArrival[m] = never
 			st.gradAnnounce[m] = never
-			st.fwdSenderEnd[m] = never
-			st.gradSenderEnd[m] = never
 			st.fwdDone[m] = false
 			st.recDone[m] = false
 			st.bwdDone[m] = false
 			if s == 0 {
 				st.actArrival[m] = 0
-				st.fwdSenderEnd[m] = 0
 			} else {
 				st.actArrival[m] = never
 			}
 		}
-		if !cfg.Policy.Rule {
+		if syncComm {
+			st.fwdSenderEnd = grab(&e.timeBuf, nm)
+			st.gradSenderEnd = grab(&e.timeBuf, nm)
+			for m := 0; m < nm; m++ {
+				st.fwdSenderEnd[m] = never
+				if s == 0 {
+					st.fwdSenderEnd[m] = 0
+				}
+				st.gradSenderEnd[m] = never
+			}
+		}
+		if strict {
 			st.orderDone = grab(&e.orderBuf, len(cfg.Orders[s]))
 			for i := range st.orderDone {
 				st.orderDone[i] = false
@@ -505,7 +526,9 @@ func (e *executor) start(st *stageState, t schedule.Task, now simtime.Time, extr
 		xfer := e.netDur(c.GradSend)
 		arr := end.Add(xfer)
 		up.gradAnnounce[t.Micro] = arr
-		up.gradSenderEnd[t.Micro] = end
+		if e.cfg.Policy.SyncComm {
+			up.gradSenderEnd[t.Micro] = end
+		}
 		e.arrive(up, up.gradArrival, evGradArrive, t.Micro, arr)
 		// Wake upstream now so it can plan the recompute — unless it is
 		// busy until strictly after now: that try would fire before its
@@ -546,13 +569,17 @@ func (e *executor) complete(st *stageState, t schedule.Task, end simtime.Time) {
 			down := &e.stages[st.idx+1]
 			xfer := e.netDur(e.cfg.Costs[st.idx].ActSend)
 			arr := end.Add(xfer)
-			down.fwdSenderEnd[t.Micro] = end
+			if e.cfg.Policy.SyncComm {
+				down.fwdSenderEnd[t.Micro] = end
+			}
 			e.arrive(down, down.actArrival, evActArrive, t.Micro, arr)
 		} else {
 			// Last stage: loss computed, gradient available locally.
 			st.gradArrival[t.Micro] = end
 			st.gradAnnounce[t.Micro] = end
-			st.gradSenderEnd[t.Micro] = end
+			if e.cfg.Policy.SyncComm {
+				st.gradSenderEnd[t.Micro] = end
+			}
 		}
 	case schedule.Recompute:
 		st.recDone[t.Micro] = true

@@ -419,6 +419,7 @@ func (ss *steadyState) fastForward(e *executor, now simtime.Time, m0, hi int) {
 
 	ss.shiftM = kdm
 	e.q.ShiftPending(kdt, e.onShift)
+	syncComm := e.cfg.Policy.SyncComm
 	for i := range e.stages {
 		st := &e.stages[i]
 		busyDelta := st.busySum - ref.busy[i]
@@ -433,8 +434,10 @@ func (ss *steadyState) fastForward(e *executor, now simtime.Time, m0, hi int) {
 			st.actArrival[m] = shiftTime(st.actArrival[src], kdt)
 			st.gradArrival[m] = shiftTime(st.gradArrival[src], kdt)
 			st.gradAnnounce[m] = shiftTime(st.gradAnnounce[src], kdt)
-			st.fwdSenderEnd[m] = shiftTime(st.fwdSenderEnd[src], kdt)
-			st.gradSenderEnd[m] = shiftTime(st.gradSenderEnd[src], kdt)
+			if syncComm {
+				st.fwdSenderEnd[m] = shiftTime(st.fwdSenderEnd[src], kdt)
+				st.gradSenderEnd[m] = shiftTime(st.gradSenderEnd[src], kdt)
+			}
 		}
 		// Micros skipped by the jump are fully processed; their timing
 		// state is dead (only bwdDone is ever consulted once a micro's
