@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -212,6 +213,37 @@ func TestBestForBoundedExact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBestForDeterministic: which candidates a dollar decision
+// simulates depends on the inputs and the cache alone, so the
+// planner's counters after a fixed BestFor sequence do not move with
+// GOMAXPROCS.
+func TestBestForDeterministic(t *testing.T) {
+	in := inputsFor(t, model.GPT2XL2B(), 53)
+	deadline := Objective{Kind: ObjDeadline, DeadlineAt: simtime.Time(24 * simtime.Hour), TargetExamples: 5e6}
+	run := func(procs int) PlannerStats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pl := NewPlanner(in)
+		for _, c := range []dollarCase{
+			{40, Objective{Kind: ObjMinDollarPerExample}, Econ{PerGPUHour: 2.4, MeanPerGPUHour: 2.4}},
+			{32, deadline, Econ{PerGPUHour: 4.3, MeanPerGPUHour: 2.4, Now: simtime.Time(6 * simtime.Hour), DoneExamples: 1e6}},
+			{40, Objective{Kind: ObjMinDollarPerExample}, Econ{PerGPUHour: 7.2, MeanPerGPUHour: 2.4, PreemptEvery: 20 * simtime.Minute, CheckpointEvery: 50}},
+			{24, deadline, Econ{PerGPUHour: 1.2, MeanPerGPUHour: 2.4, Now: simtime.Time(20 * simtime.Hour), DoneExamples: 4.9e6}},
+		} {
+			if _, err := pl.BestFor(c.g, c.obj, c.ec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pl.Stats()
+	}
+	one, four := run(1), run(4)
+	if one != four {
+		t.Fatalf("planner stats depend on GOMAXPROCS\n1: %+v\n4: %+v", one, four)
+	}
+	if one.Sweeps != 4 || one.DecisionHits+one.DecisionMisses != 0 {
+		t.Fatalf("each dollar decision counts one sweep and no memo lookup: %+v", one)
 	}
 }
 

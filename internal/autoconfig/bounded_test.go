@@ -84,6 +84,30 @@ func TestPlannerBestBoundedExact(t *testing.T) {
 	}
 }
 
+// TestPlannerBestDeterministic: which candidates the bounded Best
+// simulates depends on the inputs alone, so the planner's counters
+// after a fixed call sequence do not move with GOMAXPROCS.
+func TestPlannerBestDeterministic(t *testing.T) {
+	in := inputsFor(t, model.GPT2Megatron8B(), 71)
+	run := func(procs int) PlannerStats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pl := NewPlanner(in)
+		for _, g := range []int{128, 96, 128, 160, 112, 96} {
+			if _, err := pl.Best(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pl.Stats()
+	}
+	one, four := run(1), run(4)
+	if one != four {
+		t.Fatalf("planner stats depend on GOMAXPROCS\n1: %+v\n4: %+v", one, four)
+	}
+	if one.Sweeps != 4 || one.DecisionHits != 2 || one.DecisionMisses != 4 {
+		t.Fatalf("each memo miss counts one sweep: %+v", one)
+	}
+}
+
 // TestDecisionsIndependentOfGOMAXPROCS: a bounded decision simulates
 // each depth's micro-batch sizes concurrently and commits them
 // serially, in size order. So its choices, errors, PlannerStats and
