@@ -39,16 +39,6 @@ import (
 	"repro/scenarios"
 )
 
-func specByName(name string) (*model.Spec, bool) {
-	for _, s := range model.Zoo() {
-		if strings.EqualFold(s.Name, name) ||
-			strings.EqualFold(strings.ReplaceAll(s.Name, "GPT2-", "gpt2-"), name) {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
 // loadScenario resolves a name to a scenario: a file on disk first,
 // then the committed scenarios/ set.
 func loadScenario(name string) (*scenario.Scenario, error) {
@@ -369,7 +359,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	flag.Parse()
 
-	spec, ok := specByName(*modelName)
+	spec, ok := model.ByName(*modelName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "varuna-sim: unknown model %q; available:\n", *modelName)
 		for _, s := range model.Zoo() {
@@ -403,12 +393,11 @@ func main() {
 	fmt.Printf("%-10s %-4s %-6s %-12s %-10s %s\n", "config", "m", "Nm", "est/batch", "total ex/s", "ex/s/GPU")
 	best := sweep[0]
 	for _, c := range sweep {
-		marker := ""
 		if c.TotalExPerSec() > best.TotalExPerSec() {
 			best = c
 		}
-		fmt.Printf("%-10s %-4d %-6d %-12v %-10.1f %.2f%s\n",
-			fmt.Sprintf("%dx%d", c.P, c.D), c.M, c.Nm, c.Est, c.TotalExPerSec(), c.ExPerSecPerGPU(), marker)
+		fmt.Printf("%-10s %-4d %-6d %-12v %-10.1f %.2f\n",
+			fmt.Sprintf("%dx%d", c.P, c.D), c.M, c.Nm, c.Est, c.TotalExPerSec(), c.ExPerSecPerGPU())
 	}
 	fmt.Printf("\nchosen: %v → %.1f ex/s on %d GPUs\n", best, best.TotalExPerSec(), best.GPUsUsed)
 

@@ -105,15 +105,6 @@ func instanceLink(cluster hw.Cluster, mp int) hw.Link {
 	return cluster.Inter
 }
 
-// MegatronExPerSecPerGPU is the headline metric for Figures 5 and 6.
-func MegatronExPerSecPerGPU(c MegatronConfig, cluster hw.Cluster, fabric netsim.Fabric, cost compute.CostModel) (float64, error) {
-	t, err := MegatronTime(c, cluster, fabric, cost)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c.MTotal) / t.Seconds() / float64(c.GPUs()), nil
-}
-
 // DataParallelTime estimates one mini-batch of plain data-parallel
 // training (the BERT-large baseline): every GPU holds the full model,
 // computes its share, then allreduces all gradients.

@@ -101,7 +101,7 @@ type stage struct {
 	layers []nn.Layer
 	opt    *nn.Adam
 	params []*nn.Param
-	ctxs   []nn.Ctx // the layers' contexts of the micro-batch in hand
+	ctxs   []nn.Ctx // the layers' contexts (plain values) of the micro-batch in hand
 }
 
 // Engine is a live training job.

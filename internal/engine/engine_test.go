@@ -395,12 +395,14 @@ func TestTwoBWDelayedUpdates(t *testing.T) {
 
 // TestStepAllocations pins the allocation-free steady state: once the
 // first Step has allocated the kept buffers, a Step at the nn-train
-// configuration allocates at most 128 KB on average, in every mode.
+// configuration allocates at most 128 KB in at most 32 allocations on
+// average, in every mode. What is left is the stage and replica
+// goroutines, their wait groups and scratch-pool refills after a GC.
 func TestStepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops items on purpose")
 	}
-	const warm, steps, limit = 2, 8, 128 << 10
+	const warm, steps, limit, mallocLimit = 2, 8, 128 << 10, 32
 	for _, mode := range []Mode{Sync, TwoBW, StalePerMicro} {
 		e := mustEngine(t, trainCfg(mode))
 		e.Losses(warm)
@@ -409,9 +411,13 @@ func TestStepAllocations(t *testing.T) {
 		e.Losses(steps)
 		runtime.ReadMemStats(&after)
 		perStep := (after.TotalAlloc - before.TotalAlloc) / steps
-		t.Logf("%v: %d bytes per Step", mode, perStep)
+		mallocs := (after.Mallocs - before.Mallocs) / steps
+		t.Logf("%v: %d bytes in %d allocations per Step", mode, perStep, mallocs)
 		if perStep > limit {
 			t.Errorf("%v: %d bytes per Step, want at most %d", mode, perStep, limit)
+		}
+		if mallocs > mallocLimit {
+			t.Errorf("%v: %d allocations per Step, want at most %d", mode, mallocs, mallocLimit)
 		}
 	}
 }

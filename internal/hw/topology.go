@@ -39,24 +39,6 @@ func (l DomainLevel) String() string {
 	}
 }
 
-// ParseDomainLevel resolves a level name ("node", "rack", "zone",
-// "region") to its DomainLevel.
-func ParseDomainLevel(s string) (DomainLevel, error) {
-	switch s {
-	case "gpu":
-		return DomainGPU, nil
-	case "node":
-		return DomainNode, nil
-	case "rack":
-		return DomainRack, nil
-	case "zone":
-		return DomainZone, nil
-	case "region":
-		return DomainRegion, nil
-	}
-	return 0, fmt.Errorf("hw: unknown domain level %q", s)
-}
-
 // Wide-area links joining the outer failure domains. Cross-rack traffic
 // stays on datacenter ethernet; cross-zone hops ride a metro fiber ring
 // with millisecond latency; cross-region transfers cross a WAN backbone.

@@ -29,6 +29,20 @@ func TestZooParamCounts(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, name := range []string{"GPT2-8.3B", "gpt2-8.3b", "gpt2-8.3B", "bert-large"} {
+		if _, ok := ByName(name); !ok {
+			t.Errorf("ByName(%q) found nothing", name)
+		}
+	}
+	if s, _ := ByName("gpt2-2.5b"); s == nil || s.Name != "GPT2-2.5B" {
+		t.Errorf("ByName(gpt2-2.5b) = %v, want GPT2-2.5B", s)
+	}
+	if _, ok := ByName("gpt3"); ok {
+		t.Error("ByName(gpt3) found a model")
+	}
+}
+
 func TestBlockActivationMatchesPaper(t *testing.T) {
 	// §3.1: "for 2.5B GPT-2, this is only 3.75 MB per input example".
 	s := GPT2XL2B()

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// The Block context contract: a context and an output are valid until
-// the Block's next Forward, an input gradient until its next Backward,
-// and the one workspace is sized to the latest call.
+// The layer contract: a context and an output are valid until the
+// layer's next Forward, an input gradient until its next Backward, and
+// a Block's one workspace is sized to the latest call.
 
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()
@@ -27,29 +27,65 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-func TestBlockStaleCtxPanics(t *testing.T) {
+// TestLayersRefuseStaleCtx checks that each pipeline layer's Backward
+// takes only the context of its latest Forward, and panics, naming the
+// layer, on a context a later Forward replaced, another layer's
+// context or the zero Ctx.
+func TestLayersRefuseStaleCtx(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	b := NewBlock("blk7", 8, 4, 2, rng)
-	x := randMatrix(rng, 8, 8)
-	_, ctx1 := b.Forward(x)
-	_, ctx2 := b.Forward(x)
-	dy := randMatrix(rng, 8, 8)
-	mustPanic(t, "blk7", func() { b.Backward(ctx1, dy) })
-	b.Backward(ctx2, dy) // the latest context is live
+	ids := func(rows int) *Matrix {
+		m := NewMatrix(rows, 4)
+		for i := range m.Data {
+			m.Data[i] = float64(rng.Intn(11))
+		}
+		return m
+	}
+	emb := NewEmbedding("emb3", 11, 8, 4, rng)
+	// Each layer has a twin of its type, an input and an output
+	// gradient, and the same at another row count.
+	cases := []struct {
+		l, twin            Layer
+		x, dy, xBig, dyBig *Matrix
+	}{
+		{emb, NewEmbedding("emb4", 11, 8, 4, rng),
+			ids(2), randMatrix(rng, 8, 8), ids(3), randMatrix(rng, 12, 8)},
+		{NewBlock("blk7", 8, 4, 2, rng), NewBlock("blk8", 8, 4, 2, rng),
+			randMatrix(rng, 8, 8), randMatrix(rng, 8, 8), randMatrix(rng, 12, 8), randMatrix(rng, 12, 8)},
+		{NewOutputProjection("head5", emb), NewOutputProjection("head6", emb),
+			randMatrix(rng, 8, 8), randMatrix(rng, 8, 11), randMatrix(rng, 12, 8), randMatrix(rng, 12, 11)},
+	}
+	for i, c := range cases {
+		l := c.l
+		t.Run(l.Name(), func(t *testing.T) {
+			refused := func(ctx Ctx, dy *Matrix) {
+				t.Helper()
+				mustPanic(t, "nn: "+l.Name()+": Backward given a stale context", func() { l.Backward(ctx, dy) })
+			}
+			refused(Ctx{}, c.dy) // before any Forward
+			_, stale := l.Forward(c.x)
+			_, live := l.Forward(c.x)
+			refused(stale, c.dy)
+			l.Backward(live, c.dy)
 
-	// A Forward of another row count, which replaces the workspace,
-	// makes a context stale too, and so does the next Forward after it.
-	_, ctx3 := b.Forward(x)
-	_, big := b.Forward(randMatrix(rng, 12, 8))
-	mustPanic(t, "stale", func() { b.Backward(ctx3, dy) })
-	b.Forward(x)
-	mustPanic(t, "stale", func() { b.Backward(big, randMatrix(rng, 12, 8)) })
+			// A Forward of another row count, which replaces a Block's
+			// workspace, replaces a context too, and so does the next
+			// Forward after it.
+			_, big := l.Forward(c.xBig)
+			refused(live, c.dy)
+			_, live = l.Forward(c.x)
+			refused(big, c.dyBig)
 
-	// So is another Block's context.
-	other := NewBlock("other", 8, 4, 2, rng)
-	_, ctx4 := other.Forward(x)
-	b.Forward(x)
-	mustPanic(t, "blk7", func() { b.Backward(ctx4, dy) })
+			// Another layer's context, of its type or another, and the
+			// zero Ctx after a Forward.
+			_, twin := c.twin.Forward(c.x)
+			next := cases[(i+1)%len(cases)]
+			_, other := next.l.Forward(next.x)
+			refused(twin, c.dy)
+			refused(other, c.dy)
+			refused(Ctx{}, c.dy)
+			l.Backward(live, c.dy) // the latest context is still live
+		})
+	}
 }
 
 // TestBlockBuffersLiveUntilNextCall checks the Layer contract on a
@@ -191,6 +227,27 @@ func TestBlocksShareScratchConcurrently(t *testing.T) {
 				t.Fatalf("worker %d value %d: %v concurrently, %v alone", i, j, got[i][j], want[i][j])
 			}
 		}
+	}
+}
+
+// TestBlockStepAllocatesNothing checks that a Forward and Backward at
+// a shape the Block already holds allocate nothing: the workspace is
+// kept, the temporaries come from the scratch pool and the context is
+// a plain value.
+func TestBlockStepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items on purpose")
+	}
+	rng := rand.New(rand.NewSource(38))
+	b := NewBlock("blk", 24, 12, 2, rng)
+	x, dy := randMatrix(rng, 96, 24), randMatrix(rng, 96, 24)
+	step := func() {
+		_, ctx := b.Forward(x)
+		b.Backward(ctx, dy)
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("a Forward and Backward at a held shape allocate %v times, want 0", n)
 	}
 }
 

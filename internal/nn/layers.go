@@ -4,30 +4,28 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
-// Layer is one pipeline-partitionable unit: forward produces the
-// output and a context holding whatever backward needs; backward
-// consumes that context, accumulates parameter gradients, and returns
-// the input gradient. Because the context is explicit, the engine can
-// drop it after forward (gradient checkpointing) and regenerate it by
-// re-running forward from the stashed input — exactly Varuna's
-// recompute (§3.1).
+// Layer is one pipeline-partitionable unit: the Embedding, a Block or
+// the OutputProjection. Forward computes the output and keeps in the
+// layer what Backward reads; Backward accumulates parameter gradients
+// and returns the input gradient. A layer keeps only its latest
+// Forward's state, named by the Ctx that Forward returns, so a caller
+// that checkpoints re-runs Forward from the stashed input right before
+// Backward — exactly Varuna's recompute (§3.1).
 //
 // Forward's output stays valid until the layer's next Forward, and
 // Backward's input gradient until its next Backward; a caller that
-// needs either one longer copies it. The Block, Embedding and
-// OutputProjection return buffers of their own, which those calls
-// overwrite. A context may refer to the layer's own buffers too: a
-// Block keeps its forward intermediates in a workspace that later
-// Forwards overwrite, so a Block's context is valid only until that
-// Block's next Forward, and Backward panics on a context a later
-// Forward has invalidated. Backward reads the input Forward was given,
-// so that must not change in between either.
+// needs either one longer copies it. Backward panics, naming the
+// layer, on a context a later Forward has replaced, another layer's
+// context or the zero Ctx. It reads the input Forward was given, so
+// that must not change in between either.
 type Layer interface {
 	// Forward computes the layer output for x.
 	Forward(x *Matrix) (*Matrix, Ctx)
-	// Backward propagates dy through ctx, accumulating into Params.
+	// Backward propagates dy through the Forward ctx names,
+	// accumulating into Params.
 	Backward(ctx Ctx, dy *Matrix) *Matrix
 	// Params lists the layer's trainable tensors.
 	Params() []*Param
@@ -35,14 +33,29 @@ type Layer interface {
 	Name() string
 }
 
-// Ctx is opaque per-micro-batch forward state.
-type Ctx any
+// Ctx names one Forward of one layer. Its generation comes from one
+// package-wide counter that starts at 1, so no two Forwards of any
+// layers share a Ctx and the zero Ctx names none.
+type Ctx struct{ gen uint64 }
+
+var generations atomic.Uint64
+
+// newCtx names a new Forward.
+func newCtx() Ctx { return Ctx{gen: generations.Add(1)} }
+
+// checkCtx panics, naming the layer, unless ctx is latest, the context
+// of the layer's latest Forward.
+func checkCtx(ctx, latest Ctx, layer string) {
+	if ctx != latest || ctx == (Ctx{}) {
+		panic(fmt.Sprintf("nn: %s: Backward given a stale context: a later Forward has run, or it is another layer's or the zero Ctx", layer))
+	}
+}
 
 // ---- Linear --------------------------------------------------------
 
-// Linear is y = x·W + b (bias optional).
+// Linear is y = x·W + b (bias optional), one of a Block's sub-layers:
+// the Block runs its kernels into its workspace and scratch.
 type Linear struct {
-	name    string
 	In, Out int
 	W, B    *Param // B is nil for bias-free projections
 }
@@ -50,7 +63,7 @@ type Linear struct {
 // NewLinear builds a Linear layer with Xavier weights.
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	return &Linear{
-		name: name, In: in, Out: out,
+		In: in, Out: out,
 		W: NewParam(name+".W", in*out, XavierInit(rng, in, out)),
 		B: NewParam(name+".b", out, ZeroInit),
 	}
@@ -63,28 +76,9 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 // amplify into spurious parameter drift.
 func NewLinearNoBias(name string, in, out int, rng *rand.Rand) *Linear {
 	return &Linear{
-		name: name, In: in, Out: out,
+		In: in, Out: out,
 		W: NewParam(name+".W", in*out, XavierInit(rng, in, out)),
 	}
-}
-
-type linearCtx struct{ x *Matrix }
-
-// Forward implements Layer.
-func (l *Linear) Forward(x *Matrix) (*Matrix, Ctx) {
-	y := NewMatrix(x.Rows, l.Out)
-	l.forwardInto(y, x)
-	return y, linearCtx{x: x}
-}
-
-// Backward implements Layer.
-func (l *Linear) Backward(ctx Ctx, dy *Matrix) *Matrix {
-	c := ctx.(linearCtx)
-	dx := NewMatrix(dy.Rows, l.In)
-	s := getScratch()
-	l.backwardInto(dx, c.x, dy, s)
-	putScratch(s)
-	return dx
 }
 
 // weight views W as an In×Out matrix.
@@ -124,7 +118,7 @@ func (l *Linear) backwardInto(dx, x, dy *Matrix, s *scratch) {
 	matMulABTInto(dx, dy, l.weight())
 }
 
-// Params implements Layer.
+// Params lists W, then B if there is one.
 func (l *Linear) Params() []*Param {
 	if l.B == nil {
 		return []*Param{l.W}
@@ -132,41 +126,13 @@ func (l *Linear) Params() []*Param {
 	return []*Param{l.W, l.B}
 }
 
-// Name implements Layer.
-func (l *Linear) Name() string { return l.name }
-
-// ---- Gelu ----------------------------------------------------------
-
-// Gelu is the tanh-approximated GELU activation.
-type Gelu struct{ name string }
-
-// NewGelu builds a GELU layer.
-func NewGelu(name string) *Gelu { return &Gelu{name: name} }
-
-// geluCtx holds the forward's input and each element's tanh term,
-// which the backward needs too: keeping it saves a second math.Tanh
-// per element and gives the same bits as computing it again.
-type geluCtx struct{ x, th *Matrix }
+// ---- GELU ----------------------------------------------------------
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
-// Forward implements Layer.
-func (g *Gelu) Forward(x *Matrix) (*Matrix, Ctx) {
-	y, th := NewMatrix(x.Rows, x.Cols), NewMatrix(x.Rows, x.Cols)
-	geluKeepInto(y, th, x)
-	return y, geluCtx{x: x, th: th}
-}
-
-// Backward implements Layer.
-func (g *Gelu) Backward(ctx Ctx, dy *Matrix) *Matrix {
-	c := ctx.(geluCtx)
-	dx := NewMatrix(dy.Rows, dy.Cols)
-	geluKeptBackwardInto(dx, c.x, c.th, dy)
-	return dx
-}
-
-// geluKeepInto writes GELU(x) into y, keeping each element's tanh term
-// in th for geluKeptBackwardInto.
+// geluKeepInto writes the tanh-approximated GELU(x) into y, keeping
+// each element's tanh term in th: geluKeptBackwardInto reads it
+// instead of calling math.Tanh again, which gives the same bits.
 func geluKeepInto(y, th, x *Matrix) {
 	yd, td := y.Data[:len(x.Data)], th.Data[:len(x.Data)]
 	for i, v := range x.Data {
@@ -189,18 +155,13 @@ func geluKeptBackwardInto(dx, x, th, dy *Matrix) {
 	}
 }
 
-// Params implements Layer.
-func (g *Gelu) Params() []*Param { return nil }
-
-// Name implements Layer.
-func (g *Gelu) Name() string { return g.name }
-
 // ---- LayerNorm -----------------------------------------------------
 
 // LayerNorm normalizes each row to zero mean and unit variance, then
-// applies a learned affine transform.
+// applies a learned affine transform. It is one of a Block's
+// sub-layers: the Block runs its kernels into its workspace and
+// scratch.
 type LayerNorm struct {
-	name string
 	Dim  int
 	G, B *Param
 }
@@ -208,36 +169,13 @@ type LayerNorm struct {
 // NewLayerNorm builds a LayerNorm over dim features.
 func NewLayerNorm(name string, dim int) *LayerNorm {
 	return &LayerNorm{
-		name: name, Dim: dim,
-		G: NewParam(name+".g", dim, func(int) float64 { return 1 }),
-		B: NewParam(name+".b", dim, ZeroInit),
+		Dim: dim,
+		G:   NewParam(name+".g", dim, func(int) float64 { return 1 }),
+		B:   NewParam(name+".b", dim, ZeroInit),
 	}
 }
 
-type lnCtx struct {
-	xhat *Matrix
-	invS []float64
-}
-
 const lnEps = 1e-5
-
-// Forward implements Layer.
-func (l *LayerNorm) Forward(x *Matrix) (*Matrix, Ctx) {
-	y := NewMatrix(x.Rows, x.Cols)
-	c := lnCtx{xhat: NewMatrix(x.Rows, x.Cols), invS: make([]float64, x.Rows)}
-	l.forwardInto(y, c.xhat, c.invS, x)
-	return y, c
-}
-
-// Backward implements Layer.
-func (l *LayerNorm) Backward(ctx Ctx, dy *Matrix) *Matrix {
-	c := ctx.(lnCtx)
-	dx := NewMatrix(dy.Rows, dy.Cols)
-	s := getScratch()
-	l.backwardInto(dx, c.xhat, c.invS, dy, s)
-	putScratch(s)
-	return dx
-}
 
 // forwardInto normalizes x into y, keeping the normalized rows in xhat
 // and each row's inverse standard deviation in invS for the backward.
@@ -294,11 +232,8 @@ func (l *LayerNorm) backwardInto(dx, xhat *Matrix, invS []float64, dy *Matrix, s
 	}
 }
 
-// Params implements Layer.
+// Params lists G and B.
 func (l *LayerNorm) Params() []*Param { return []*Param{l.G, l.B} }
-
-// Name implements Layer.
-func (l *LayerNorm) Name() string { return l.name }
 
 // ---- Embedding -----------------------------------------------------
 
@@ -312,7 +247,9 @@ type Embedding struct {
 	W          *Param // Vocab×Dim
 	Pos        *Param // SeqLen×Dim
 
-	out buffer // Forward's output
+	out buffer  // Forward's output
+	ids *Matrix // the latest Forward's token ids, which Backward reads
+	ctx Ctx     // the latest Forward's
 }
 
 // NewEmbedding builds an embedding table.
@@ -324,8 +261,6 @@ func NewEmbedding(name string, vocab, dim, seqLen int, rng *rand.Rand) *Embeddin
 	}
 	return e
 }
-
-type embCtx struct{ ids *Matrix }
 
 // Forward implements Layer.
 func (e *Embedding) Forward(ids *Matrix) (*Matrix, Ctx) {
@@ -348,16 +283,17 @@ func (e *Embedding) Forward(ids *Matrix) (*Matrix, Ctx) {
 			}
 		}
 	}
-	return y, embCtx{ids: ids}
+	e.ids, e.ctx = ids, newCtx()
+	return y, e.ctx
 }
 
 // Backward implements Layer.
 func (e *Embedding) Backward(ctx Ctx, dy *Matrix) *Matrix {
-	c := ctx.(embCtx)
-	b, t := c.ids.Rows, c.ids.Cols
+	checkCtx(ctx, e.ctx, e.name)
+	b, t := e.ids.Rows, e.ids.Cols
 	for i := 0; i < b; i++ {
 		for j := 0; j < t; j++ {
-			id := int(c.ids.At(i, j))
+			id := int(e.ids.At(i, j))
 			row := dy.Row(i*t + j)
 			wg := e.W.Grad[id*e.Dim : (id+1)*e.Dim]
 			pg := e.Pos.Grad[j*e.Dim : (j+1)*e.Dim]
@@ -391,7 +327,9 @@ type OutputProjection struct {
 	Vocab, Dim int
 	W          *Param
 
-	out, dx buffer // Forward's logits and Backward's input gradient
+	out, dx buffer  // Forward's logits and Backward's input gradient
+	x       *Matrix // the latest Forward's input, which Backward reads
+	ctx     Ctx     // the latest Forward's
 }
 
 // NewOutputProjection ties the projection to the embedding weight by
@@ -407,8 +345,6 @@ func NewOutputProjection(name string, emb *Embedding) *OutputProjection {
 	return &OutputProjection{name: name, Vocab: emb.Vocab, Dim: emb.Dim, W: w}
 }
 
-type projCtx struct{ x *Matrix }
-
 // weight views W as a Vocab×Dim matrix.
 func (o *OutputProjection) weight() *Matrix {
 	return &Matrix{Rows: o.Vocab, Cols: o.Dim, Data: o.W.Value}
@@ -418,15 +354,16 @@ func (o *OutputProjection) weight() *Matrix {
 func (o *OutputProjection) Forward(x *Matrix) (*Matrix, Ctx) {
 	y := o.out.shape(x.Rows, o.Vocab)
 	matMulABTInto(y, x, o.weight())
-	return y, projCtx{x: x}
+	o.x, o.ctx = x, newCtx()
+	return y, o.ctx
 }
 
 // Backward implements Layer.
 func (o *OutputProjection) Backward(ctx Ctx, dy *Matrix) *Matrix {
-	c := ctx.(projCtx)
+	checkCtx(ctx, o.ctx, o.name)
 	s := getScratch()
 	dW := s.dW.shape(o.Vocab, o.Dim)
-	matMulATBInto(dW, dy, c.x)
+	matMulATBInto(dW, dy, o.x)
 	grad := o.W.Grad[:len(dW.Data)]
 	for i, v := range dW.Data {
 		grad[i] += v

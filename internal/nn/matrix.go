@@ -365,13 +365,6 @@ func AddInPlace(a, b *Matrix) {
 	}
 }
 
-// Scale multiplies all elements by s.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // Param is one trainable tensor with its gradient accumulator.
 type Param struct {
 	// Name identifies the parameter for checkpointing and the tracer.

@@ -6,18 +6,21 @@ import (
 	"testing"
 )
 
-// numericalGrad checks analytic parameter and input gradients of a
-// layer against central differences on a scalar loss L = Σ y⊙w.
-func checkLayerGrads(t *testing.T, l Layer, x *Matrix, tol float64) {
+// checkGrads checks the analytic parameter and input gradients of a
+// layer named name against central differences on a scalar loss
+// L = Σ y⊙w. forward computes the layer's output for x, and backward
+// the input gradient for dy through the latest forward.
+func checkGrads(t *testing.T, name string, params []*Param, x *Matrix, tol float64,
+	forward func(x *Matrix) *Matrix, backward func(dy *Matrix) *Matrix) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(9))
-	y, _ := l.Forward(x)
+	y := forward(x)
 	w := NewMatrix(y.Rows, y.Cols)
 	for i := range w.Data {
 		w.Data[i] = rng.Float64()*2 - 1
 	}
 	loss := func() float64 {
-		y, _ := l.Forward(x)
+		y := forward(x)
 		var s float64
 		for i, v := range y.Data {
 			s += v * w.Data[i]
@@ -25,17 +28,17 @@ func checkLayerGrads(t *testing.T, l Layer, x *Matrix, tol float64) {
 		return s
 	}
 	// Analytic.
-	for _, p := range l.Params() {
+	for _, p := range params {
 		p.ZeroGrad()
 	}
-	_, ctx := l.Forward(x)
+	forward(x)
 	// dx is read only before the layer's next Backward, as long as the
 	// Layer contract keeps it: loss runs Forwards alone.
-	dx := l.Backward(ctx, w.Clone())
+	dx := backward(w.Clone())
 
 	const h = 1e-6
 	// Parameter gradients (sample a few indices per param).
-	for _, p := range l.Params() {
+	for _, p := range params {
 		idxs := sampleIdx(rng, len(p.Value), 6)
 		for _, i := range idxs {
 			orig := p.Value[i]
@@ -46,7 +49,7 @@ func checkLayerGrads(t *testing.T, l Layer, x *Matrix, tol float64) {
 			p.Value[i] = orig
 			num := (lp - lm) / (2 * h)
 			if relErr(num, p.Grad[i]) > tol {
-				t.Errorf("%s param %s[%d]: numeric %g vs analytic %g", l.Name(), p.Name, i, num, p.Grad[i])
+				t.Errorf("%s param %s[%d]: numeric %g vs analytic %g", name, p.Name, i, num, p.Grad[i])
 			}
 		}
 	}
@@ -62,10 +65,23 @@ func checkLayerGrads(t *testing.T, l Layer, x *Matrix, tol float64) {
 			x.Data[i] = orig
 			num := (lp - lm) / (2 * h)
 			if relErr(num, dx.Data[i]) > tol {
-				t.Errorf("%s input[%d]: numeric %g vs analytic %g", l.Name(), i, num, dx.Data[i])
+				t.Errorf("%s input[%d]: numeric %g vs analytic %g", name, i, num, dx.Data[i])
 			}
 		}
 	}
+}
+
+// checkLayerGrads is checkGrads through a Layer's Forward and Backward.
+func checkLayerGrads(t *testing.T, l Layer, x *Matrix, tol float64) {
+	t.Helper()
+	var ctx Ctx
+	checkGrads(t, l.Name(), l.Params(), x, tol,
+		func(x *Matrix) *Matrix {
+			y, c := l.Forward(x)
+			ctx = c
+			return y
+		},
+		func(dy *Matrix) *Matrix { return l.Backward(ctx, dy) })
 }
 
 func sampleIdx(rng *rand.Rand, n, k int) []int {
@@ -97,20 +113,61 @@ func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
+// The Linear, GELU and LayerNorm tests check the kernels a Block runs,
+// into fresh outputs and input gradients.
+
 func TestLinearGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear("lin", 5, 3, rng)
-	checkLayerGrads(t, l, randMatrix(rng, 4, 5), 1e-5)
+	x := randMatrix(rng, 4, 5)
+	checkGrads(t, "lin", l.Params(), x, 1e-5,
+		func(x *Matrix) *Matrix {
+			y := NewMatrix(x.Rows, l.Out)
+			l.forwardInto(y, x)
+			return y
+		},
+		func(dy *Matrix) *Matrix {
+			dx, s := NewMatrix(dy.Rows, l.In), getScratch()
+			defer putScratch(s)
+			l.backwardInto(dx, x, dy, s)
+			return dx
+		})
 }
 
 func TestGeluGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	checkLayerGrads(t, NewGelu("gelu"), randMatrix(rng, 3, 7), 1e-5)
+	x := randMatrix(rng, 3, 7)
+	th := NewMatrix(3, 7)
+	checkGrads(t, "gelu", nil, x, 1e-5,
+		func(x *Matrix) *Matrix {
+			y := NewMatrix(x.Rows, x.Cols)
+			geluKeepInto(y, th, x)
+			return y
+		},
+		func(dy *Matrix) *Matrix {
+			dx := NewMatrix(dy.Rows, dy.Cols)
+			geluKeptBackwardInto(dx, x, th, dy)
+			return dx
+		})
 }
 
 func TestLayerNormGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	checkLayerGrads(t, NewLayerNorm("ln", 6), randMatrix(rng, 4, 6), 1e-4)
+	l := NewLayerNorm("ln", 6)
+	x := randMatrix(rng, 4, 6)
+	xhat, invS := NewMatrix(4, 6), make([]float64, 4)
+	checkGrads(t, "ln", l.Params(), x, 1e-4,
+		func(x *Matrix) *Matrix {
+			y := NewMatrix(x.Rows, x.Cols)
+			l.forwardInto(y, xhat, invS, x)
+			return y
+		},
+		func(dy *Matrix) *Matrix {
+			dx, s := NewMatrix(dy.Rows, dy.Cols), getScratch()
+			defer putScratch(s)
+			l.backwardInto(dx, xhat, invS, dy, s)
+			return dx
+		})
 }
 
 func TestBlockGradients(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
+	"slices"
 )
 
 // Block is one pre-norm transformer block: single-head causal
@@ -12,9 +12,8 @@ import (
 // is the repeated unit the cut-point machinery partitions (§5.1).
 //
 // A Block keeps its forward intermediates, its output and its input
-// gradient in a workspace: a context and an output are valid until the
-// Block's next Forward, an input gradient until its next Backward (see
-// Layer).
+// gradient in a workspace: an output is valid until the Block's next
+// Forward, an input gradient until its next Backward (see Layer).
 type Block struct {
 	name   string
 	Dim    int
@@ -25,7 +24,7 @@ type Block struct {
 	fc1, fc2       *Linear
 
 	work *blockWork // the kept workspace; nil before the first Forward
-	gen  uint64     // the latest Forward's generation
+	ctx  Ctx        // the latest Forward's
 }
 
 // NewBlock builds a transformer block of width dim over seqLen tokens.
@@ -84,24 +83,13 @@ func (b *Block) workspace(rows int) *blockWork {
 	return w
 }
 
-// blockCtx names the workspace a Forward filled and which Forward it
-// was.
-type blockCtx struct {
-	work *blockWork
-	gen  uint64
-}
-
-// generations numbers every Block Forward, so a generation names one
-// Forward of one Block.
-var generations atomic.Uint64
-
 // Forward implements Layer.
 func (b *Block) Forward(x *Matrix) (*Matrix, Ctx) {
 	if x.Rows%b.SeqLen != 0 {
 		panic(fmt.Sprintf("nn: block input rows %d not a multiple of seq %d", x.Rows, b.SeqLen))
 	}
 	w := b.workspace(x.Rows)
-	b.gen = generations.Add(1)
+	b.ctx = newCtx()
 
 	// Attention sub-layer.
 	b.ln1.forwardInto(w.n1, w.xh1, w.inv1, x)
@@ -118,7 +106,7 @@ func (b *Block) Forward(x *Matrix) (*Matrix, Ctx) {
 	geluKeepInto(w.g, w.th, w.h)
 	b.fc2.forwardInto(w.y, w.g)
 	AddInPlace(w.y, w.mid) // residual
-	return w.y, blockCtx{work: w, gen: b.gen}
+	return w.y, b.ctx
 }
 
 // attend fills w.probs with the causal softmax of q·kᵀ/√Dim and w.att
@@ -168,11 +156,8 @@ func (b *Block) attend(w *blockWork) {
 
 // Backward implements Layer.
 func (b *Block) Backward(ctx Ctx, dy *Matrix) *Matrix {
-	c := ctx.(blockCtx)
-	if c.gen != b.gen {
-		panic(fmt.Sprintf("nn: %s: Backward given a stale context: a later Forward has run, or it is another Block's", b.name))
-	}
-	w := c.work
+	checkCtx(ctx, b.ctx, b.name)
+	w := b.work
 	rows := w.rows
 	s := getScratch()
 
@@ -249,11 +234,8 @@ func (b *Block) attendBackward(w *blockWork, dctx, dq, dk, dv *Matrix, daRow []f
 
 // Params implements Layer.
 func (b *Block) Params() []*Param {
-	var out []*Param
-	for _, l := range []Layer{b.ln1, b.wq, b.wk, b.wv, b.wo, b.ln2, b.fc1, b.fc2} {
-		out = append(out, l.Params()...)
-	}
-	return out
+	return slices.Concat(b.ln1.Params(), b.wq.Params(), b.wk.Params(), b.wv.Params(),
+		b.wo.Params(), b.ln2.Params(), b.fc1.Params(), b.fc2.Params())
 }
 
 // Name implements Layer.

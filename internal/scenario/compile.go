@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/autoconfig"
 	"repro/internal/checkpoint"
@@ -43,18 +42,6 @@ type Compiled struct {
 	ScriptEvents int
 }
 
-// specByName resolves a model-zoo name case-insensitively, accepting
-// the "gpt2-" shorthand varuna-sim uses.
-func specByName(name string) (*model.Spec, bool) {
-	for _, s := range model.Zoo() {
-		if strings.EqualFold(s.Name, name) ||
-			strings.EqualFold(strings.ReplaceAll(s.Name, "GPT2-", "gpt2-"), name) {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
 func objectiveFor(name string, deadlineAt simtime.Duration, targetExamples float64, horizon simtime.Duration) autoconfig.Objective {
 	switch name {
 	case "min-dollar-per-example":
@@ -79,7 +66,7 @@ func objectiveFor(name string, deadlineAt simtime.Duration, targetExamples float
 // against the live fleet, and assembles manager options. The job
 // calibration dominates the cost; everything else is cheap.
 func Compile(sc *Scenario) (*Compiled, error) {
-	spec, ok := specByName(sc.Job.Model)
+	spec, ok := model.ByName(sc.Job.Model)
 	if !ok {
 		return nil, fmt.Errorf("scenario %s: unknown model %q", sc.Name, sc.Job.Model)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/hw"
 	"repro/internal/manager"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/price"
 	"repro/internal/simtime"
@@ -82,7 +83,7 @@ func CompileFleet(sc *Scenario) (*CompiledFleet, error) {
 		c.PoolMeter = price.NewMeter(curve)
 	}
 	for _, js := range sc.Jobs {
-		spec, ok := specByName(js.Model)
+		spec, ok := model.ByName(js.Model)
 		if !ok {
 			return nil, fmt.Errorf("scenario %s: job %q: unknown model %q", sc.Name, js.Name, js.Model)
 		}

@@ -65,9 +65,6 @@ func (d Duration) String() string {
 // the nearest microsecond.
 func FromSeconds(s float64) Duration { return Duration(s*float64(Second) + 0.5) }
 
-// FromMillis converts fractional milliseconds to a Duration.
-func FromMillis(ms float64) Duration { return Duration(ms*float64(Millisecond) + 0.5) }
-
 // Max returns the later of a and b.
 func Max(a, b Time) Time {
 	if a > b {
@@ -79,14 +76,6 @@ func Max(a, b Time) Time {
 // Min returns the earlier of a and b.
 func Min(a, b Time) Time {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxDur returns the longer of a and b.
-func MaxDur(a, b Duration) Duration {
-	if a > b {
 		return a
 	}
 	return b
