@@ -106,8 +106,8 @@ func interFlags(p, gpusPerNode int) []bool {
 
 // costCache memoizes the per-candidate simulation inputs and outputs
 // keyed on (spec, p, m, d): the calibrate.Params.StageCosts slice and
-// the anchor-simulation makespan estimate at the Nm that GradAccum
-// derives for the key. Both are deterministic in the key (stages and
+// the simulated makespan estimate at the Nm that GradAccum derives for
+// the key. Both are deterministic in the key (stages and
 // boundary flags are functions of p; the estimate runs the simulator
 // on mean parameters with no jitter), so workers can safely share
 // cached values — the simulator never mutates cost slices.
@@ -130,13 +130,13 @@ type costCache struct {
 	mu sync.Mutex
 	m  *gen2.Map[costKey, *costEntry]
 
-	hits, misses             atomic.Uint64
-	costComputes, simAnchors atomic.Uint64
+	hits, misses          atomic.Uint64
+	costComputes, simRuns atomic.Uint64
 }
 
-// costKey scopes entries to the model being planned for: a Planner
-// whose job switches specs (or a cache accidentally shared across
-// jobs) can never serve one model's partition costs to another.
+// costKey scopes entries to the model being planned for: a cache
+// accidentally shared across jobs can never serve one model's
+// partition costs to another.
 type costKey struct {
 	spec    *model.Spec
 	p, m, d int
@@ -144,8 +144,8 @@ type costKey struct {
 
 // costEntry is one cached computation. nm records the micro-batch
 // count the estimate was simulated at; a lookup with a different nm
-// (possible only if M_total changed without an invalidation) reuses
-// the costs but re-runs the estimate.
+// (possible only for an entry ImportState loaded with another Nm)
+// reuses the costs but re-runs the estimate.
 type costEntry struct {
 	costs []sim.StageCosts
 	nm    int
@@ -195,7 +195,7 @@ func (c *costCache) snapshot() map[costKey]*costEntry {
 
 // estimate returns the simulated mini-batch time for one fully
 // specified candidate, serving both the StageCosts assembly and the
-// anchor simulations from the cache when the key was seen before.
+// simulation from the cache when the key was seen before.
 // Costs the bound pass already assembled (mp.costs) are reused rather
 // than rebuilt. A nil receiver computes without caching (the stateless
 // Evaluate path).
@@ -237,7 +237,7 @@ func (c *costCache) estimate(in Inputs, dp *depthPlan, mp microPlan) (simtime.Du
 			return 0, err
 		}
 	}
-	c.simAnchors.Add(1)
+	c.simRuns.Add(1)
 	c.store(key, &costEntry{costs: costs, nm: mp.nm, est: est})
 	return est, nil
 }

@@ -261,10 +261,10 @@ func TestBestForSkipsDepths(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, b := full.Stats(), bounded.Stats()
-	if b.SimAnchorRuns >= f.SimAnchorRuns {
-		t.Fatalf("bounded BestFor simulated %d candidates, the four sweeps %d", b.SimAnchorRuns, f.SimAnchorRuns)
+	if b.SimRuns >= f.SimRuns {
+		t.Fatalf("bounded BestFor simulated %d candidates, the four sweeps %d", b.SimRuns, f.SimRuns)
 	}
-	if b.Sweeps != 1 || b.BoundSkips == 0 || b.CostMisses != b.SimAnchorRuns {
+	if b.Sweeps != 1 || b.BoundSkips == 0 || b.CostMisses != b.SimRuns {
 		t.Fatalf("counters: bounded %+v, full %+v", b, f)
 	}
 }

@@ -215,14 +215,14 @@ func TestPlannerBestSkipsDepths(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, b := swept.Stats(), bounded.Stats()
-	if b.SimAnchorRuns >= s.SimAnchorRuns {
-		t.Fatalf("bounded Best simulated %d candidates, the sweep %d", b.SimAnchorRuns, s.SimAnchorRuns)
+	if b.SimRuns >= s.SimRuns {
+		t.Fatalf("bounded Best simulated %d candidates, the sweep %d", b.SimRuns, s.SimRuns)
 	}
 	if b.BoundSkips == 0 || s.BoundSkips != 0 {
 		t.Fatalf("bound skips: Best %d, Sweep %d", b.BoundSkips, s.BoundSkips)
 	}
 	// Every candidate gets its costs assembled once, simulated or not.
-	if b.CostComputes != s.CostComputes || b.CostMisses != b.SimAnchorRuns || b.Sweeps != 1 {
+	if b.CostComputes != s.CostComputes || b.CostMisses != b.SimRuns || b.Sweeps != 1 {
 		t.Fatalf("counters: Best %+v, Sweep %+v", b, s)
 	}
 	// The cache holds only simulated entries.
@@ -234,15 +234,15 @@ func TestPlannerBestSkipsDepths(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	if uint64(len(st.Costs)) != b.SimAnchorRuns {
-		t.Fatalf("%d cost entries cached, %d simulated", len(st.Costs), b.SimAnchorRuns)
+	if uint64(len(st.Costs)) != b.SimRuns {
+		t.Fatalf("%d cost entries cached, %d simulated", len(st.Costs), b.SimRuns)
 	}
 	// On the swept planner every key is cached: Best reads the exact
 	// estimates as its ceilings and rebuilds and re-simulates nothing.
 	if _, err := swept.Best(128); err != nil {
 		t.Fatal(err)
 	}
-	if w := swept.Stats(); w.CostComputes != s.CostComputes || w.SimAnchorRuns != s.SimAnchorRuns {
+	if w := swept.Stats(); w.CostComputes != s.CostComputes || w.SimRuns != s.SimRuns {
 		t.Fatalf("warm Best recomputed: before %+v, after %+v", s, w)
 	}
 }

@@ -348,8 +348,8 @@ func (pl *Planner) bestForEcon(g int, obj Objective, ec Econ) (Choice, float64, 
 		c, err := pl.Best(g)
 		return c, 0, err
 	}
-	in, cache, done := pl.startSweep()
-	cands, skips, err := boundedDollar(in, g, obj, ec, cache)
+	done := pl.startSweep()
+	cands, skips, err := boundedDollar(pl.in, g, obj, ec, pl.cache)
 	done(skips)
 	if err != nil {
 		return Choice{}, 0, err

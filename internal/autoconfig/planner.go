@@ -19,8 +19,8 @@ import (
 // survive across sweeps:
 //
 //   - a cost cache keyed on (spec, p, m, d) holding the assembled
-//     calibrate.Params.StageCosts slice and the anchor-simulation
-//     makespan estimate for the candidate — every quantity the sweep
+//     calibrate.Params.StageCosts slice and the simulated makespan
+//     estimate for the candidate — every quantity the sweep
 //     computes per candidate is deterministic in that key, so a
 //     morphing timeline pays partition costs once per unique
 //     configuration rather than once per sweep;
@@ -40,18 +40,17 @@ import (
 // (TestPlannerCappedBitIdentical here,
 // TestTimelineCappedPlannerBitIdentical at the manager level).
 type Planner struct {
-	mu       sync.Mutex
-	in       Inputs
-	cache    *costCache
-	costCap  int
-	decCap   int
-	dec      *gen2.Map[int, plannerDecision]
-	sweeps   uint64
-	decHits  uint64
-	decMiss  uint64
-	invalids uint64
-	skips    uint64
-	met      *obs.Metrics
+	// in, cache and dec are set once, by the constructor. cache locks
+	// itself; mu guards dec's contents, the counters and met.
+	in      Inputs
+	cache   *costCache
+	mu      sync.Mutex
+	dec     *gen2.Map[int, plannerDecision]
+	sweeps  uint64
+	decHits uint64
+	decMiss uint64
+	skips   uint64
+	met     *obs.Metrics
 }
 
 // Default cache bounds: generous for any realistic fleet (one decision
@@ -81,11 +80,9 @@ func NewPlanner(in Inputs) *Planner {
 // decision-memo generation (<= 0 means unbounded).
 func NewPlannerCapped(in Inputs, costEntries, decisions int) *Planner {
 	return &Planner{
-		in:      in,
-		cache:   newCostCacheCap(64, costEntries),
-		costCap: costEntries,
-		decCap:  decisions,
-		dec:     gen2.New[int, plannerDecision](decisions, 0),
+		in:    in,
+		cache: newCostCacheCap(64, costEntries),
+		dec:   gen2.New[int, plannerDecision](decisions, 0),
 	}
 }
 
@@ -100,35 +97,6 @@ func (pl *Planner) SetObserver(m *obs.Metrics) {
 	pl.mu.Lock()
 	pl.met = m
 	pl.mu.Unlock()
-}
-
-// Inputs reports the job description the Planner currently plans for.
-func (pl *Planner) Inputs() Inputs {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.in
-}
-
-// SetInputs repoints the Planner at a new job description. If anything
-// that cached values depend on changed — the model spec, the
-// cut-points, the calibration, the device memory, M_total or the
-// placement hierarchy — every cache is invalidated: calibration is
-// scale-invariant (§4.3) so this never happens on a morph, only when
-// the job itself changes.
-func (pl *Planner) SetInputs(in Inputs) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if same := pl.in.Spec == in.Spec &&
-		pl.in.Params == in.Params &&
-		pl.in.GPUMem == in.GPUMem &&
-		pl.in.MTotal == in.MTotal &&
-		pl.in.GPUsPerNode == in.GPUsPerNode &&
-		sameCuts(pl.in.Cuts, in.Cuts); !same {
-		pl.cache = newCostCacheCap(64, pl.costCap)
-		pl.dec = gen2.New[int, plannerDecision](pl.decCap, 0)
-		pl.invalids++
-	}
-	pl.in = in
 }
 
 // sameCuts reports whether two cut-point sets partition identically —
@@ -150,25 +118,24 @@ func sameCuts(a, b []model.CutPoint) bool {
 // serving repeated candidates from the lifetime cost cache. Output is
 // bit-identical to the stateless Sweep.
 func (pl *Planner) Sweep(g int) ([]Choice, error) {
-	in, cache, done := pl.startSweep()
+	done := pl.startSweep()
 	defer done(0)
-	return sweepWorkers(in, g, runtime.GOMAXPROCS(0), cache)
+	return sweepWorkers(pl.in, g, runtime.GOMAXPROCS(0), pl.cache)
 }
 
-// startSweep counts one sweep and returns the inputs and cache to run
-// it on, plus a func to call when it ends with the number of depths
-// its bound skipped, which also observes its wall time when an
-// observer is set.
-func (pl *Planner) startSweep() (Inputs, *costCache, func(skips int)) {
+// startSweep counts one sweep and returns a func to call when it ends
+// with the number of depths its bound skipped, which also observes its
+// wall time when an observer is set.
+func (pl *Planner) startSweep() func(skips int) {
 	pl.mu.Lock()
-	in, cache, met := pl.in, pl.cache, pl.met
+	met := pl.met
 	pl.sweeps++
 	pl.mu.Unlock()
 	var start time.Time
 	if met.Enabled() {
 		start = time.Now()
 	}
-	return in, cache, func(skips int) {
+	return func(skips int) {
 		pl.mu.Lock()
 		pl.skips += uint64(skips)
 		pl.mu.Unlock()
@@ -182,10 +149,7 @@ func (pl *Planner) startSweep() (Inputs, *costCache, func(skips int)) {
 // Evaluate simulates a single explicit (P, D) shape through the
 // lifetime cache.
 func (pl *Planner) Evaluate(p, d int) (Choice, error) {
-	pl.mu.Lock()
-	in, cache := pl.in, pl.cache
-	pl.mu.Unlock()
-	return evaluate(in, p, d, cache)
+	return evaluate(pl.in, p, d, pl.cache)
 }
 
 // Best returns the highest-throughput configuration for g GPUs,
@@ -209,8 +173,8 @@ func (pl *Planner) Best(g int) (Choice, error) {
 	pl.mu.Unlock()
 	met.Count("planner.decision_misses", 1)
 
-	in, cache, done := pl.startSweep()
-	choice, skips, err := boundedBest(in, g, cache)
+	done := pl.startSweep()
+	choice, skips, err := boundedBest(pl.in, g, pl.cache)
 	done(skips)
 
 	pl.mu.Lock()
@@ -228,12 +192,11 @@ func (pl *Planner) Stats() PlannerStats {
 		CostHits:          pl.cache.hits.Load(),
 		CostMisses:        pl.cache.misses.Load(),
 		CostComputes:      pl.cache.costComputes.Load(),
-		SimAnchorRuns:     pl.cache.simAnchors.Load(),
+		SimRuns:           pl.cache.simRuns.Load(),
 		CostEvictions:     pl.cache.evictions(),
 		DecisionHits:      pl.decHits,
 		DecisionMisses:    pl.decMiss,
 		DecisionEvictions: pl.dec.Rotations(),
-		Invalidations:     pl.invalids,
 		BoundSkips:        pl.skips,
 	}
 }
@@ -255,9 +218,9 @@ type PlannerStats struct {
 	// (those are not cached); a second sweep of the same fleet
 	// performs zero.
 	CostComputes uint64
-	// SimAnchorRuns counts candidates whose anchor simulations ran
-	// (cache misses that reached the simulator).
-	SimAnchorRuns uint64
+	// SimRuns counts candidates whose estimate was simulated (cache
+	// misses that reached the simulator).
+	SimRuns uint64
 	// CostEvictions counts cost-cache generation rotations (a rotation
 	// drops the oldest generation's keys).
 	CostEvictions uint64
@@ -265,8 +228,6 @@ type PlannerStats struct {
 	DecisionHits, DecisionMisses uint64
 	// DecisionEvictions counts decision-memo generation rotations.
 	DecisionEvictions uint64
-	// Invalidations counts SetInputs calls that reset the caches.
-	Invalidations uint64
 	// BoundSkips counts the depths a Best or dollar BestFor decision
 	// did not simulate because their makespan bound ruled them out of
 	// the decision rule.

@@ -14,9 +14,8 @@ import (
 // PlannerState is the serializable snapshot of a Planner's lifetime
 // caches — what restart.SaveState persists alongside the §4.5
 // checkpoint so a manager restart resumes with warm morph decisions.
-// The snapshot records every Inputs field that cached values depend on
-// (the same set SetInputs invalidates on); ImportState refuses a
-// snapshot taken for a different job.
+// The snapshot records every Inputs field that cached values depend on;
+// ImportState refuses a snapshot taken for a different job.
 type PlannerState struct {
 	Version     int              `json:"version"`
 	Spec        string           `json:"spec"`
@@ -120,9 +119,8 @@ func (pl *Planner) ImportState(data []byte) error {
 	}
 	// Cached decisions bake in every one of these (Nm and Examples
 	// derive from M_total, placement from GPUsPerNode, feasibility from
-	// GPU memory, stages from the cuts) — the same fields SetInputs
-	// invalidates on. A snapshot from a differently-configured job must
-	// not warm this one.
+	// GPU memory, stages from the cuts). A snapshot from a
+	// differently-configured job must not warm this one.
 	if st.MTotal != pl.in.MTotal || st.GPUMem != pl.in.GPUMem || st.GPUsPerNode != pl.in.GPUsPerNode {
 		return fmt.Errorf("autoconfig: planner state is for M=%d/mem=%d/gpn=%d, this job runs M=%d/mem=%d/gpn=%d",
 			st.MTotal, st.GPUMem, st.GPUsPerNode, pl.in.MTotal, pl.in.GPUMem, pl.in.GPUsPerNode)

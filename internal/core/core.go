@@ -21,6 +21,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/testbed"
 )
@@ -124,7 +125,7 @@ func (j *Job) Estimate(c autoconfig.Choice) (simtime.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	return testbed.EstimateWithSim(c.P, c.Nm, costs)
+	return sim.EstimateMakespan(sim.Config{Depth: c.P, Micros: c.Nm, Policy: schedule.Varuna, Costs: costs})
 }
 
 // Measure executes one mini-batch of the configuration on the

@@ -58,7 +58,7 @@ func PlannerCaching(x *Ctx) (*Table, error) {
 
 	identical := reflect.DeepEqual(first, second)
 	recomputes := s.CostComputes - afterCold.CostComputes
-	reruns := s.SimAnchorRuns - afterCold.SimAnchorRuns
+	reruns := s.SimRuns - afterCold.SimRuns
 	argmax := first[0]
 	for _, c := range first[1:] {
 		if c.TotalExPerSec() > argmax.TotalExPerSec() {
@@ -68,11 +68,11 @@ func PlannerCaching(x *Ctx) (*Table, error) {
 
 	t := &Table{
 		Title:  "Planner: cross-sweep cost caching and bounded Best, 8.3B at G=128",
-		Header: []string{"Call", "Wall ms", "Candidates", "StageCosts builds", "Anchor sims", "Bound skips"},
+		Header: []string{"Call", "Wall ms", "Candidates", "StageCosts builds", "Simulations", "Bound skips"},
 	}
-	t.Add("Sweep 1 (cold)", f1(coldMS), fmt.Sprint(len(first)), fmt.Sprint(afterCold.CostComputes), fmt.Sprint(afterCold.SimAnchorRuns), "0")
+	t.Add("Sweep 1 (cold)", f1(coldMS), fmt.Sprint(len(first)), fmt.Sprint(afterCold.CostComputes), fmt.Sprint(afterCold.SimRuns), "0")
 	t.Add("Sweep 2 (cached)", f1(warmMS), fmt.Sprint(len(second)), fmt.Sprint(recomputes), fmt.Sprint(reruns), "0")
-	t.Add("Best (cold, bounded)", f1(bestMS), "1", fmt.Sprint(b.CostComputes), fmt.Sprint(b.SimAnchorRuns), fmt.Sprint(b.BoundSkips))
+	t.Add("Best (cold, bounded)", f1(bestMS), "1", fmt.Sprint(b.CostComputes), fmt.Sprint(b.SimRuns), fmt.Sprint(b.BoundSkips))
 	speedup := 0.0
 	if warmMS > 0 {
 		speedup = coldMS / warmMS
@@ -81,9 +81,9 @@ func PlannerCaching(x *Ctx) (*Table, error) {
 		fmt.Sprintf("second sweep bit-identical to first: %v", identical),
 		fmt.Sprintf("second sweep %.0fx faster; cost cache hit rate %.0f%% (%d hits, %d misses)",
 			speedup, 100*s.HitRate(), s.CostHits, s.CostMisses),
-		"the §4.6 manager keeps one Planner per job, so every morph after the first at a given fleet size pays neither partition costs nor anchor simulations",
+		"the §4.6 manager keeps one Planner per job, so every morph after the first at a given fleet size pays neither partition costs nor simulations",
 		fmt.Sprintf("bounded Best simulated %d of the cold sweep's %d candidates, skipping %d depths whose makespan bound rules them out; its pick %v equals the sweep's argmax: %v",
-			b.SimAnchorRuns, afterCold.SimAnchorRuns, b.BoundSkips, pick, reflect.DeepEqual(pick, argmax)))
+			b.SimRuns, afterCold.SimRuns, b.BoundSkips, pick, reflect.DeepEqual(pick, argmax)))
 	if !reflect.DeepEqual(pick, argmax) {
 		return t, fmt.Errorf("planner: bounded Best picked %v, the cold sweep's argmax is %v", pick, argmax)
 	}
@@ -91,7 +91,7 @@ func PlannerCaching(x *Ctx) (*Table, error) {
 		return t, fmt.Errorf("planner: cached sweep diverged from cold sweep")
 	}
 	if recomputes != 0 || reruns != 0 {
-		return t, fmt.Errorf("planner: cached sweep recomputed (%d StageCosts, %d anchor sims)", recomputes, reruns)
+		return t, fmt.Errorf("planner: cached sweep recomputed (%d StageCosts, %d simulations)", recomputes, reruns)
 	}
 	return t, nil
 }

@@ -44,7 +44,7 @@ func TestConstantCurveMaxThroughputBitIdentical(t *testing.T) {
 	run := func(curve *price.Curve) ([]TimelinePoint, Stats) {
 		opts := DefaultOptions()
 		opts.Prices = curve
-		mg := managerWith(t, opts, nil)
+		mg := managerWith(t, opts, false)
 		points, stats, err := mg.RunTimeline(events, horizon)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func TestMinDollarSpendsLessPerExample(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Prices = curve
 		opts.Objective = obj
-		mg := managerWith(t, opts, nil)
+		mg := managerWith(t, opts, false)
 		_, stats, err := mg.RunTimeline(events, horizon)
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestDeadlineObjectiveMeetsTargetCheaper(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Prices = curve
 		opts.Objective = obj
-		mg := managerWith(t, opts, nil)
+		mg := managerWith(t, opts, false)
 		_, stats, err := mg.RunTimeline(events, horizon)
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestHoldDiscountCalibrationDirection(t *testing.T) {
 	events := spot.EventTrace(mk, 150, horizon, 10*simtime.Minute)
 
 	run := func(legacy bool) Stats {
-		mg := managerWith(t, DefaultOptions(), nil)
+		mg := managerWith(t, DefaultOptions(), false)
 		SetLegacyHoldDiscount(mg, legacy)
 		_, stats, err := mg.RunTimeline(events, horizon)
 		if err != nil {
@@ -224,7 +224,7 @@ func TestDegradingVMCaughtMidSegment(t *testing.T) {
 	degradeAt := simtime.Time(2 * simtime.Hour)
 
 	run := func(degrade bool) ([]TimelinePoint, Stats) {
-		mg := managerWith(t, DefaultOptions(), nil)
+		mg := managerWith(t, DefaultOptions(), false)
 		if degrade {
 			mg.Degrade = []Degradation{{VM: 3, At: degradeAt, Factor: 1.5}}
 		}
@@ -276,7 +276,7 @@ func TestHeartbeatDisabledMatchesMorphSegmentsOnly(t *testing.T) {
 	events = append(events, spot.Event{At: simtime.Time(6 * simtime.Hour), Kind: spot.Preempt, VM: 5, GPUs: 1})
 	opts := DefaultOptions()
 	opts.HeartbeatEvery = 0
-	mg := managerWith(t, opts, nil)
+	mg := managerWith(t, opts, false)
 	mg.Degrade = []Degradation{{VM: 3, At: simtime.Time(2 * simtime.Hour), Factor: 1.5}}
 	points, _, err := mg.RunTimeline(events, 8*simtime.Hour)
 	if err != nil {

@@ -70,12 +70,13 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func managerFor(t *testing.T) *Manager {
-	return managerWith(t, DefaultOptions(), nil)
+	return managerWith(t, DefaultOptions(), false)
 }
 
-// managerWith builds a manager with explicit options and, when plan is
-// non-nil, a caller-supplied Planner.
-func managerWith(t *testing.T, opts Options, plan *autoconfig.Planner) *Manager {
+// managerWith builds a manager with explicit options and, when tight
+// is set, a Planner capped at 2 cost entries and 1 decision per
+// generation.
+func managerWith(t *testing.T, opts Options, tight bool) *Manager {
 	t.Helper()
 	cluster := hw.SpotCluster(hw.NC6v3, 150)
 	tb := testbed.New(cluster, 31)
@@ -99,11 +100,10 @@ func managerWith(t *testing.T, opts Options, plan *autoconfig.Planner) *Manager 
 		MTotal:      8192,
 		GPUsPerNode: 1,
 	}
-	if plan == nil {
-		return New(in, tb, opts, 77)
+	if tight {
+		return NewWithPlanner(in, tb, autoconfig.NewPlannerCapped(in, 2, 1), opts, 77)
 	}
-	plan.SetInputs(in)
-	return NewWithPlanner(in, tb, plan, opts, 77)
+	return New(in, tb, opts, 77)
 }
 
 func TestRunTimelineMorphsWithFleet(t *testing.T) {
@@ -210,19 +210,18 @@ func TestPreemptionRollsBackToCheckpoint(t *testing.T) {
 // default-planner timeline bit for bit — eviction may only cost
 // recomputation, never change a decision.
 func TestTimelineCappedPlannerBitIdentical(t *testing.T) {
-	run := func(plan *autoconfig.Planner) ([]TimelinePoint, Stats) {
-		mg := managerWith(t, DefaultOptions(), plan)
+	run := func(tight bool) ([]TimelinePoint, Stats, autoconfig.PlannerStats) {
+		mg := managerWith(t, DefaultOptions(), tight)
 		mk := spot.NewMarket(1, 120, 99)
 		events := spot.EventTrace(mk, 150, 24*simtime.Hour, 10*simtime.Minute)
 		points, stats, err := mg.RunTimeline(events, 24*simtime.Hour)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return points, stats
+		return points, stats, mg.Plan.Stats()
 	}
-	wantPoints, wantStats := run(nil)
-	tight := autoconfig.NewPlannerCapped(autoconfig.Inputs{}, 2, 1)
-	gotPoints, gotStats := run(tight)
+	wantPoints, wantStats, _ := run(false)
+	gotPoints, gotStats, ts := run(true)
 	if gotStats != wantStats {
 		t.Fatalf("capped planner changed stats:\nwant %+v\ngot  %+v", wantStats, gotStats)
 	}
@@ -234,7 +233,6 @@ func TestTimelineCappedPlannerBitIdentical(t *testing.T) {
 			t.Fatalf("point %d diverged:\nwant %+v\ngot  %+v", i, wantPoints[i], gotPoints[i])
 		}
 	}
-	ts := tight.Stats()
 	if ts.CostEvictions == 0 || ts.DecisionEvictions == 0 {
 		t.Fatalf("tight caps must rotate across a 24h timeline: %+v", ts)
 	}
@@ -248,7 +246,7 @@ func TestPolicyDowntimeOrdering(t *testing.T) {
 	run := func(p MorphPolicy) Stats {
 		opts := DefaultOptions()
 		opts.Policy = p
-		mg := managerWith(t, opts, nil)
+		mg := managerWith(t, opts, false)
 		mk := spot.NewMarket(1, 120, 55)
 		events := spot.EventTrace(mk, 150, 12*simtime.Hour, 10*simtime.Minute)
 		_, stats, err := mg.RunTimeline(events, 12*simtime.Hour)

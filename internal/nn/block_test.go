@@ -44,22 +44,23 @@ func TestLayersRefuseStaleCtx(t *testing.T) {
 	// Each layer has a twin of its type, an input and an output
 	// gradient, and the same at another row count.
 	cases := []struct {
+		name               string
 		l, twin            Layer
 		x, dy, xBig, dyBig *Matrix
 	}{
-		{emb, NewEmbedding("emb4", 11, 8, 4, rng),
+		{"emb3", emb, NewEmbedding("emb4", 11, 8, 4, rng),
 			ids(2), randMatrix(rng, 8, 8), ids(3), randMatrix(rng, 12, 8)},
-		{NewBlock("blk7", 8, 4, 2, rng), NewBlock("blk8", 8, 4, 2, rng),
+		{"blk7", NewBlock("blk7", 8, 4, 2, rng), NewBlock("blk8", 8, 4, 2, rng),
 			randMatrix(rng, 8, 8), randMatrix(rng, 8, 8), randMatrix(rng, 12, 8), randMatrix(rng, 12, 8)},
-		{NewOutputProjection("head5", emb), NewOutputProjection("head6", emb),
+		{"head5", NewOutputProjection("head5", emb), NewOutputProjection("head6", emb),
 			randMatrix(rng, 8, 8), randMatrix(rng, 8, 11), randMatrix(rng, 12, 8), randMatrix(rng, 12, 11)},
 	}
 	for i, c := range cases {
 		l := c.l
-		t.Run(l.Name(), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			refused := func(ctx Ctx, dy *Matrix) {
 				t.Helper()
-				mustPanic(t, "nn: "+l.Name()+": Backward given a stale context", func() { l.Backward(ctx, dy) })
+				mustPanic(t, "nn: "+c.name+": Backward given a stale context", func() { l.Backward(ctx, dy) })
 			}
 			refused(Ctx{}, c.dy) // before any Forward
 			_, stale := l.Forward(c.x)

@@ -29,8 +29,6 @@ type Layer interface {
 	Backward(ctx Ctx, dy *Matrix) *Matrix
 	// Params lists the layer's trainable tensors.
 	Params() []*Param
-	// Name identifies the layer.
-	Name() string
 }
 
 // Ctx names one Forward of one layer. Its generation comes from one
@@ -309,9 +307,6 @@ func (e *Embedding) Backward(ctx Ctx, dy *Matrix) *Matrix {
 // Params implements Layer.
 func (e *Embedding) Params() []*Param { return []*Param{e.W, e.Pos} }
 
-// Name implements Layer.
-func (e *Embedding) Name() string { return e.name }
-
 // ---- OutputProjection (tied) ----------------------------------------
 
 // OutputProjection computes logits = x·Wᵀ against the embedding table.
@@ -376,6 +371,3 @@ func (o *OutputProjection) Backward(ctx Ctx, dy *Matrix) *Matrix {
 
 // Params implements Layer.
 func (o *OutputProjection) Params() []*Param { return []*Param{o.W} }
-
-// Name implements Layer.
-func (o *OutputProjection) Name() string { return o.name }

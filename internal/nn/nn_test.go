@@ -72,10 +72,10 @@ func checkGrads(t *testing.T, name string, params []*Param, x *Matrix, tol float
 }
 
 // checkLayerGrads is checkGrads through a Layer's Forward and Backward.
-func checkLayerGrads(t *testing.T, l Layer, x *Matrix, tol float64) {
+func checkLayerGrads(t *testing.T, name string, l Layer, x *Matrix, tol float64) {
 	t.Helper()
 	var ctx Ctx
-	checkGrads(t, l.Name(), l.Params(), x, tol,
+	checkGrads(t, name, l.Params(), x, tol,
 		func(x *Matrix) *Matrix {
 			y, c := l.Forward(x)
 			ctx = c
@@ -173,7 +173,7 @@ func TestLayerNormGradients(t *testing.T) {
 func TestBlockGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b := NewBlock("blk", 8, 4, 2, rng)
-	checkLayerGrads(t, b, randMatrix(rng, 8, 8), 1e-4) // 2 examples × seq 4
+	checkLayerGrads(t, "blk", b, randMatrix(rng, 8, 8), 1e-4) // 2 examples × seq 4
 }
 
 func TestEmbeddingGradients(t *testing.T) {
@@ -183,14 +183,14 @@ func TestEmbeddingGradients(t *testing.T) {
 	for i := range ids.Data {
 		ids.Data[i] = float64(rng.Intn(11))
 	}
-	checkLayerGrads(t, e, ids, 1e-5)
+	checkLayerGrads(t, "emb", e, ids, 1e-5)
 }
 
 func TestOutputProjectionGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e := NewEmbedding("emb", 9, 5, 2, rng)
 	o := NewOutputProjection("head", e)
-	checkLayerGrads(t, o, randMatrix(rng, 4, 5), 1e-5)
+	checkLayerGrads(t, "head", o, randMatrix(rng, 4, 5), 1e-5)
 }
 
 func TestTiedProjectionIsIndependentCopy(t *testing.T) {
@@ -304,7 +304,9 @@ func TestBuildGPTStructure(t *testing.T) {
 	if len(layers) != 5 {
 		t.Fatalf("layers = %d, want embedding+3 blocks+head = 5", len(layers))
 	}
-	if layers[0].Name() != "embedding" || layers[4].Name() != "lm_head" {
+	_, emb := layers[0].(*Embedding)
+	_, head := layers[4].(*OutputProjection)
+	if !emb || !head {
 		t.Fatal("layer order wrong")
 	}
 	// A full forward/backward pass runs without panics and with

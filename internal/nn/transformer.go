@@ -238,9 +238,6 @@ func (b *Block) Params() []*Param {
 		b.wo.Params(), b.ln2.Params(), b.fc1.Params(), b.fc2.Params())
 }
 
-// Name implements Layer.
-func (b *Block) Name() string { return b.name }
-
 // ---- Loss ----------------------------------------------------------
 
 // SoftmaxCrossEntropy adds the cross-entropy of each row of logits

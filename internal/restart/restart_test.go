@@ -292,7 +292,7 @@ func TestPlannerStateRoundTrip(t *testing.T) {
 		t.Fatal("memoized infeasibility must survive the round trip")
 	}
 	s := fresh.Stats()
-	if s.Sweeps != 0 || s.CostComputes != 0 || s.SimAnchorRuns != 0 {
+	if s.Sweeps != 0 || s.CostComputes != 0 || s.SimRuns != 0 {
 		t.Fatalf("warm resume recomputed: %+v", s)
 	}
 	// A fleet size the saved planner never decided still sweeps, and

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/schedule"
 	"repro/internal/simtime"
@@ -83,86 +82,25 @@ func RunChunked(cfg Config, chunk int, gen func(depth, micros int) (*schedule.Sc
 	return total, nil
 }
 
-// EstimateMakespan predicts the mini-batch time of cfg.
+// EstimateMakespan predicts the mini-batch time of cfg: the makespan
+// of one Run with CollectTrace forced off, whatever the caller's
+// Config says.
 //
-// Deterministic configurations (no jitter source) are exact: the
-// steady-state cycle detector (steadystate.go) makes a full-Nm run
-// cost O(warm-up + drain) events regardless of Nm, so the estimate is
-// the bit-exact makespan a brute-force simulation of all Nm
-// micro-batches produces — no extrapolation error. This keeps Varuna's
-// auto-configuration sweep at sub-second cost per configuration for
-// any batch size, the §7.2 requirement that the simulator "react to
-// change in spot VM availability" in hundreds of milliseconds.
-//
-// Jittered configurations keep the two-anchor path: beyond Nm = 8·P
-// the schedule is periodic in expectation, so the simulator runs two
-// anchor points (4·P and 8·P micro-batches) and extrapolates linearly.
-// The anchors run concurrently when the configuration is deterministic
-// but has the detector disabled (a shared jitter source would race and
-// reorder its draws, so jittered anchors stay serial).
+// Every autoconfig candidate is a deterministic config the
+// steady-state cycle detector arms for (steadystate.go). There the run
+// costs O(warm-up + drain) events regardless of Nm, because the
+// detector fast-forwards the periodic middle: the estimate is the
+// bit-exact makespan of all Nm micro-batches at a sub-second cost per
+// configuration — the §7.2 requirement that the simulator "react to
+// change in spot VM availability" in hundreds of milliseconds. Any
+// other config pays its full event-driven run.
 func EstimateMakespan(cfg Config) (simtime.Duration, error) {
-	return estimateMakespan(cfg, true)
-}
-
-// estimateMakespan is EstimateMakespan with the anchor-parallelism
-// knob explicit; tests pin parallel == serial.
-func estimateMakespan(cfg Config, parallel bool) (simtime.Duration, error) {
-	if cfg.Depth < 1 {
-		return 0, fmt.Errorf("sim: bad depth %d", cfg.Depth)
-	}
-	// Estimation only needs the makespan: always take the no-trace
-	// fast path, whatever the caller's Config says.
 	cfg.CollectTrace = false
-	if steadyStateEligible(&cfg) {
-		// The cycle detector can arm, making the full-Nm run cheap:
-		// return the exact makespan instead of an extrapolation. A
-		// deterministic config the detector must refuse (the
-		// strict-opportunistic hybrid) stays on the anchor path below —
-		// exactness there would cost a full O(Nm) event-driven run.
-		res, err := Run(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
+	res, err := Run(cfg)
+	if err != nil {
+		return 0, err
 	}
-	anchor := 8 * cfg.Depth
-	if cfg.Micros <= anchor || cfg.Micros < 16 {
-		res, err := Run(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
-	}
-	half := cfg
-	half.Micros = anchor / 2
-	full := cfg
-	full.Micros = anchor
-	var (
-		r1, r2     Result
-		err1, err2 error
-	)
-	// A shared jitter source would make concurrent runs race (and
-	// reorder the draws), so only deterministic configs fan out.
-	if parallel && cfg.Rand == nil && runtime.GOMAXPROCS(0) > 1 {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			r1, err1 = Run(half)
-		}()
-		r2, err2 = Run(full)
-		<-done
-	} else {
-		r1, err1 = Run(half)
-		r2, err2 = Run(full)
-	}
-	if err1 != nil {
-		return 0, err1
-	}
-	if err2 != nil {
-		return 0, err2
-	}
-	perMicro := float64(r2.Makespan-r1.Makespan) / float64(anchor-anchor/2)
-	return r2.Makespan + simtime.Duration(perMicro*float64(cfg.Micros-anchor)+0.5), nil
+	return res.Makespan, nil
 }
 
 // MakespanLowerBound returns a closed-form value that is never above

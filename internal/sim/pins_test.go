@@ -22,6 +22,10 @@ import (
 // EstimateMakespan. The digests were recorded from the executor as it
 // was before it stopped scheduling no-op events, so every later change
 // to the executor or its event queue must reproduce them bit for bit.
+// The estimate half of 414 of them was re-recorded when the estimate
+// became one traceless Run: those jittered, brute-force and
+// strict-opportunistic configs had been extrapolated from two shorter
+// runs. Their Run half is unchanged.
 const resultPinsFile = "executor_result_pins.txt"
 
 // resultPinCount is the number of pinned configs.

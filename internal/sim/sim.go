@@ -23,9 +23,9 @@
 // the executor is pooled across invocations, all per-stage bookkeeping
 // lives in flat backing arrays reused run to run, and every event is a
 // pointer-free (instant, callback handle, two int32 arguments) node on
-// the event queue. With CollectTrace off (the default for
-// EstimateMakespan) a steady-state simulation performs no per-task
-// allocations at all. The executor schedules only events that can
+// the event queue. With CollectTrace off (the default, and what
+// EstimateMakespan forces: the estimate is one traceless Run) a
+// steady-state simulation performs no per-task allocations at all. The executor schedules only events that can
 // change state: see start, arrive and wake for the ones it leaves out.
 package sim
 

@@ -492,34 +492,21 @@ func TestWorkConservationProperty(t *testing.T) {
 	}
 }
 
-func TestEstimateMakespanExtrapolation(t *testing.T) {
-	// Steady-state extrapolation must track the exact simulation
-	// closely for large micro-batch counts.
-	depth := 6
-	costs := UnitCosts(depth, unit)
-	exact, err := Run(Config{Depth: depth, Micros: 200, Policy: schedule.Varuna, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := EstimateMakespan(Config{Depth: depth, Micros: 200, Policy: schedule.Varuna, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := float64(est-exact.Makespan) / float64(exact.Makespan)
-	if diff < -0.05 || diff > 0.05 {
-		t.Fatalf("extrapolated %v vs exact %v (%.1f%%)", est, exact.Makespan, diff*100)
-	}
-	// Small Nm takes the exact path.
-	small, err := EstimateMakespan(Config{Depth: depth, Micros: 8, Policy: schedule.Varuna, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactSmall, err := Run(Config{Depth: depth, Micros: 8, Policy: schedule.Varuna, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small != exactSmall.Makespan {
-		t.Fatal("small Nm must use the exact simulation")
+// TestEstimateMakespanIsRun: the estimate is the makespan of one Run
+// of the same config, on every pinned config — jittered, brute-force
+// and strict-opportunistic ones included — and the two fail together.
+// Each side gets a fresh config, so jittered ones draw from
+// identically seeded sources.
+func TestEstimateMakespanIsRun(t *testing.T) {
+	for i := 0; i < resultPinCount; i++ {
+		c := resultPinCase(i)
+		est, estErr := EstimateMakespan(c.build())
+		res, runErr := Run(c.build())
+		if (estErr == nil) != (runErr == nil) {
+			t.Errorf("%s: estimate error %v, Run error %v", c.label, estErr, runErr)
+		} else if est != res.Makespan {
+			t.Errorf("%s: estimate %v, Run makespan %v", c.label, est, res.Makespan)
+		}
 	}
 	if _, err := EstimateMakespan(Config{Depth: 0}); err == nil {
 		t.Fatal("bad depth must fail")

@@ -119,10 +119,7 @@ const (
 
 // steadyStateEligible reports whether the detector can arm for cfg:
 // deterministic, traceless, not disabled, and not a
-// strict-opportunistic hybrid. estimateMakespan keys off the same
-// predicate — a config the detector cannot accelerate keeps the
-// anchor-extrapolation estimate instead of silently paying a full-Nm
-// event-driven run.
+// strict-opportunistic hybrid. Any other config runs every event.
 func steadyStateEligible(cfg *Config) bool {
 	return cfg.Rand == nil && cfg.JitterCV == 0 && cfg.ComputeJitterCV == 0 &&
 		!cfg.CollectTrace && !cfg.DisableSteadyState &&
