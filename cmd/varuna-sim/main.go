@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -408,12 +409,5 @@ func main() {
 	}
 	fmt.Printf("measured: %v per mini-batch (%.1f ex/s) — simulator error %.1f%%\n",
 		ms.MiniBatchTime, ms.ExPerSec(),
-		100*abs(best.Est.Seconds()-ms.MiniBatchTime.Seconds())/ms.MiniBatchTime.Seconds())
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+		100*math.Abs(best.Est.Seconds()-ms.MiniBatchTime.Seconds())/ms.MiniBatchTime.Seconds())
 }

@@ -109,8 +109,8 @@ func interFlags(p, gpusPerNode int) []bool {
 // the simulated makespan estimate at the Nm that GradAccum derives for
 // the key. Both are deterministic in the key (stages and
 // boundary flags are functions of p; the estimate runs the simulator
-// on mean parameters with no jitter), so workers can safely share
-// cached values — the simulator never mutates cost slices.
+// on mean parameters with no jitter), so concurrent callers can safely
+// share cached values — the simulator never mutates cost slices.
 //
 // Within a single sweep the candidate generation dedupes by p and
 // tries each m at most once per candidate, so every key is distinct
@@ -152,12 +152,10 @@ type costEntry struct {
 	est   simtime.Duration
 }
 
-func newCostCache(sizeHint int) *costCache { return newCostCacheCap(sizeHint, 0) }
-
-// newCostCacheCap builds a cache bounded to cap keys per generation
-// (cap <= 0 keeps the unbounded per-sweep behavior).
-func newCostCacheCap(sizeHint, cap int) *costCache {
-	return &costCache{m: gen2.New[costKey, *costEntry](cap, sizeHint)}
+// newCostCache builds a cache bounded to cap keys per generation
+// (cap <= 0 is unbounded).
+func newCostCache(cap int) *costCache {
+	return &costCache{m: gen2.New[costKey, *costEntry](cap, 64)}
 }
 
 // lookup finds a key in either generation, promoting previous-generation
@@ -193,45 +191,28 @@ func (c *costCache) snapshot() map[costKey]*costEntry {
 	return out
 }
 
-// estimate returns the simulated mini-batch time for one fully
-// specified candidate, serving both the StageCosts assembly and the
-// simulation from the cache when the key was seen before.
-// Costs the bound pass already assembled (mp.costs) are reused rather
-// than rebuilt. A nil receiver computes without caching (the stateless
-// Evaluate path).
+// estimate commits one micro-batch size of dp. A hit serves the cached
+// estimate. A miss stores the estimate known before the commit (found
+// by the cost pass or run by presimulate), or simulates it inline when
+// there is none, which happens only when presimulate's run failed, so
+// that its error comes back here. A size whose costs the cost pass
+// could not assemble fails here with the same error.
 func (c *costCache) estimate(in Inputs, dp *depthPlan, mp microPlan) (simtime.Duration, error) {
-	if c == nil {
-		costs, err := dp.assemble(in, mp.m)
-		if err != nil {
-			return 0, err
-		}
-		return sim.EstimateMakespan(simConfig(dp.p, mp.nm, costs))
-	}
 	key := costKey{spec: in.Spec, p: dp.p, m: mp.m, d: dp.d}
-	e, ok := c.lookup(key)
-	if ok && e.nm == mp.nm {
+	if e, ok := c.lookup(key); ok && e.nm == mp.nm {
 		c.hits.Add(1)
 		return e.est, nil
 	}
-	// Miss (or an Nm mismatch): compute what is missing outside the
-	// lock. Two workers racing on the same fresh key duplicate the
-	// work but store identical values, which keeps the hot path free
-	// of per-key latches. A miss takes the makespan presimulate found,
-	// if any; an entry at another Nm is simulated on its own costs.
 	c.misses.Add(1)
-	costs := mp.costs
-	switch {
-	case ok:
-		costs = e.costs
-	case costs == nil:
+	costs, est := mp.costs, mp.est
+	if costs == nil {
 		var err error
 		if costs, err = dp.assemble(in, mp.m); err != nil {
 			return 0, err
 		}
 		c.costComputes.Add(1)
 	}
-	est := mp.est
-	if ok || est <= 0 {
+	if est <= 0 {
 		var err error
 		if est, err = sim.EstimateMakespan(simConfig(dp.p, mp.nm, costs)); err != nil {
 			return 0, err
@@ -242,20 +223,24 @@ func (c *costCache) estimate(in Inputs, dp *depthPlan, mp microPlan) (simtime.Du
 	return est, nil
 }
 
-// costsFor serves the bound pass: the key's StageCosts, plus its
-// estimate when one was simulated at mp.nm (exact). Costs of an
-// uncached key are assembled and counted in CostComputes but not
+// costsFor is the cost pass of one size: the key's StageCosts, and its
+// estimate when one was simulated at mp.nm (zero otherwise). Costs of
+// an uncached key are assembled and counted in CostComputes but not
 // stored: the cache holds only simulated entries, which is what
 // ExportState persists.
-func (c *costCache) costsFor(in Inputs, dp *depthPlan, mp microPlan) (costs []sim.StageCosts, est simtime.Duration, exact bool, err error) {
+func (c *costCache) costsFor(in Inputs, dp *depthPlan, mp microPlan) ([]sim.StageCosts, simtime.Duration, error) {
 	if e, ok := c.lookup(costKey{spec: in.Spec, p: dp.p, m: mp.m, d: dp.d}); ok {
-		return e.costs, e.est, e.nm == mp.nm, nil
+		if e.nm != mp.nm {
+			return e.costs, 0, nil
+		}
+		return e.costs, e.est, nil
 	}
-	if costs, err = dp.assemble(in, mp.m); err != nil {
-		return nil, 0, false, err
+	costs, err := dp.assemble(in, mp.m)
+	if err != nil {
+		return nil, 0, err
 	}
 	c.costComputes.Add(1)
-	return costs, 0, false, nil
+	return costs, 0, nil
 }
 
 // simConfig is the simulator input of one candidate: the Varuna
@@ -266,21 +251,29 @@ func simConfig(p, nm int, costs []sim.StageCosts) sim.Config {
 
 // depthPlan is one (P, D) candidate before simulation: its balanced
 // partition and the micro-batch sizes evaluate simulates.
+//
+// Every evaluation runs the same pipeline over its depths: planDepth,
+// the cost pass (loadCosts) on the caller, one presimulate over every
+// depth the call needs, and the commit (evaluate) on the caller, depth
+// by depth in candidate order and size by size within a depth. A sweep
+// and Planner.Evaluate presimulate all their depths at once; a bounded
+// decision's walk presimulates the one depth it steps to. Only the
+// commit stores into the cache, so its contents and counters do not
+// depend on GOMAXPROCS.
 type depthPlan struct {
 	p, d   int
 	stages []model.Stage
 	micros []microPlan
 }
 
-// microPlan is one micro-batch size of a depthPlan. costs, when set,
-// were assembled or found cached by the bound pass, and cached reports
-// that the pass found an estimate at nm. est, when positive, is the
-// makespan of costs at nm that presimulate ran ahead of the commit.
+// microPlan is one micro-batch size of a depthPlan. costs are what the
+// cost pass assembled or found cached. est, when positive, is the
+// makespan of costs at nm known before the commit: cached at nm when
+// the cost pass ran, or run by presimulate.
 type microPlan struct {
-	m, nm  int
-	costs  []sim.StageCosts
-	cached bool
-	est    simtime.Duration
+	m, nm int
+	costs []sim.StageCosts
+	est   simtime.Duration
 }
 
 // planDepth partitions the model for depth p and picks the micro-batch
@@ -300,21 +293,35 @@ func planDepth(in Inputs, p, d int) (depthPlan, error) {
 	return dp, nil
 }
 
+// loadCosts is the cost pass: it leaves on each size, in order, what
+// costsFor returns. It stops at the first size whose costs fail to
+// assemble, leaving that size's costs and the rest nil; evaluate meets
+// the same error there.
+func (dp *depthPlan) loadCosts(in Inputs, cache *costCache) {
+	for i := range dp.micros {
+		mp := &dp.micros[i]
+		var err error
+		if mp.costs, mp.est, err = cache.costsFor(in, dp, *mp); err != nil {
+			return
+		}
+	}
+}
+
 // presimulate runs, on min(GOMAXPROCS, n) workers with the caller as
-// one, the n simulations evaluate will need: every size whose costs the
-// bound pass left but whose estimate it did not find cached. The runs
-// touch neither the cache nor its counters. evaluate then commits every
-// size serially, in size order, so the cache contents and counters do
-// not depend on GOMAXPROCS. evaluate simulates inline a size whose
-// estimate was cached at bound time but is evicted before its commit,
-// and a size whose run here failed, so that its error comes back
-// there. A size the commit never reaches, because an earlier size
-// errored, is neither cached nor counted.
-func (dp *depthPlan) presimulate() {
+// one, the n simulations the commits of plans will need: every size
+// whose costs the cost pass left but whose estimate it did not find
+// cached. One counter hands out the sizes of every plan in order. The
+// runs touch neither the cache nor its counters. A run that fails
+// leaves est at zero, and evaluate simulates that size inline, so that
+// its error comes back there. A size the commit never reaches, because
+// an earlier size of its depth errored, is neither cached nor counted.
+func presimulate(plans []depthPlan) {
 	n := 0
-	for _, mp := range dp.micros {
-		if mp.costs != nil && !mp.cached {
-			n++
+	for _, dp := range plans {
+		for _, mp := range dp.micros {
+			if mp.costs != nil && mp.est <= 0 {
+				n++
+			}
 		}
 	}
 	if n == 0 {
@@ -322,8 +329,19 @@ func (dp *depthPlan) presimulate() {
 	}
 	var next atomic.Int32
 	work := func() {
-		for i := int(next.Add(1)) - 1; i < len(dp.micros); i = int(next.Add(1)) - 1 {
-			if mp := &dp.micros[i]; mp.costs != nil && !mp.cached {
+		// Counter values rise for each worker, so j and base, the plan
+		// holding size i and the index of its first size, only move on.
+		j, base := 0, 0
+		for i := int(next.Add(1)) - 1; ; i = int(next.Add(1)) - 1 {
+			for j < len(plans) && i-base >= len(plans[j].micros) {
+				base += len(plans[j].micros)
+				j++
+			}
+			if j == len(plans) {
+				return
+			}
+			dp := &plans[j]
+			if mp := &dp.micros[i-base]; mp.costs != nil && mp.est <= 0 {
 				if est, err := sim.EstimateMakespan(simConfig(dp.p, mp.nm, mp.costs)); err == nil {
 					mp.est = est
 				}
@@ -358,27 +376,12 @@ func (dp *depthPlan) choice(mp microPlan, est simtime.Duration) Choice {
 	}
 }
 
-// Evaluate builds and simulates a single (P, D) candidate, choosing the
-// micro-batch size jointly: m trades kernel efficiency (bigger is
-// better, §4.1) against pipeline efficiency (bigger m means fewer
-// micro-batches and more bubble — constraint 3 of Figure 2). Every
-// memory-feasible profiled size up to the kernel sweet spot is
-// simulated and the fastest wins.
-func Evaluate(in Inputs, p, d int) (Choice, error) {
-	return evaluate(in, p, d, nil)
-}
-
-func evaluate(in Inputs, p, d int, cache *costCache) (Choice, error) {
-	dp, err := planDepth(in, p, d)
-	if err != nil {
-		return Choice{}, err
-	}
-	return dp.evaluate(in, cache)
-}
-
-// evaluate simulates every micro-batch size of dp and keeps the
-// fastest, the first among equals. An error at any size fails the
-// whole depth.
+// evaluate commits every micro-batch size of dp through the cache, in
+// size order, and keeps the fastest, the first among equals: m trades
+// kernel efficiency (bigger is better, §4.1) against pipeline
+// efficiency (bigger m means fewer micro-batches and more bubble —
+// constraint 3 of Figure 2). An error at any size fails the whole
+// depth.
 func (dp *depthPlan) evaluate(in Inputs, cache *costCache) (Choice, error) {
 	var best Choice
 	found := false
@@ -448,63 +451,36 @@ func fits(in Inputs, stages []model.Stage, m, nm, p int) bool {
 // Sweep evaluates every feasible pipeline depth for g GPUs, in O(G)
 // total simulator invocations (§4.4): P runs from the smallest depth
 // where the model fits up to the number of cut-points, one balanced
-// cut-point assignment per depth. Candidates are evaluated on a
-// bounded worker pool (GOMAXPROCS workers) — decision latency during a
-// morph is wasted cluster time (§7.2) — and the result is merged in
-// deterministic candidate order, so the output is bit-identical to a
-// serial sweep.
+// cut-point assignment per depth. Every micro-batch size of every
+// depth is simulated on min(GOMAXPROCS, n) workers — decision latency
+// during a morph is wasted cluster time (§7.2) — and committed in
+// candidate order, so the output does not depend on GOMAXPROCS. It is
+// the stateless full-sweep reference: no bound, no lifetime cache.
 func Sweep(in Inputs, g int) ([]Choice, error) {
-	return sweepWorkers(in, g, runtime.GOMAXPROCS(0), nil)
+	return sweep(in, g, newCostCache(0))
 }
 
-// sweepWorkers is Sweep with an explicit worker count and an optional
-// long-lived cache (nil builds a per-sweep one); workers <= 1
-// evaluates serially. Tests compare the paths for identity.
-func sweepWorkers(in Inputs, g, workers int, cache *costCache) ([]Choice, error) {
-	cands, err := sweepShapes(in, g)
+// sweep is Sweep through cache: every depth's cost pass, one
+// presimulate over all of them, then the commits in ascending D. A
+// depth that errors does not fit; deeper may.
+func sweep(in Inputs, g int, cache *costCache) ([]Choice, error) {
+	shapes, err := sweepShapes(in, g)
 	if err != nil {
 		return nil, err
 	}
-	choices := make([]Choice, len(cands))
-	errs := make([]error, len(cands))
-	if cache == nil {
-		cache = newCostCache(len(cands))
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		for i, c := range cands {
-			choices[i], errs[i] = evaluate(in, c.p, c.d, cache)
+	plans := make([]depthPlan, 0, len(shapes))
+	for _, sh := range shapes {
+		if dp, err := planDepth(in, sh.p, sh.d); err == nil {
+			dp.loadCosts(in, cache)
+			plans = append(plans, dp)
 		}
-	} else {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= len(cands) {
-						return
-					}
-					choices[i], errs[i] = evaluate(in, cands[i].p, cands[i].d, cache)
-				}
-			}()
-		}
-		wg.Wait()
 	}
-
-	// Deterministic merge: candidate order is ascending D, exactly the
-	// order the serial loop appended in.
+	presimulate(plans)
 	var out []Choice
-	for i := range cands {
-		if errs[i] != nil {
-			continue // does not fit at this depth; deeper may
+	for i := range plans {
+		if c, err := plans[i].evaluate(in, cache); err == nil {
+			out = append(out, c)
 		}
-		out = append(out, choices[i])
 	}
 	if len(out) == 0 {
 		return nil, errNoFit(in, g)

@@ -84,7 +84,7 @@ func TestPipelineDepthSensitivity(t *testing.T) {
 	// of each other.
 	in := inputsFor(t, model.GPT2XL2B(), 53)
 	at := func(g, p int) Choice {
-		c, err := Evaluate(in, p, g/p)
+		c, err := NewPlanner(in).Evaluate(p, g/p)
 		if err != nil {
 			t.Fatalf("G=%d P=%d: %v", g, p, err)
 		}
@@ -158,7 +158,7 @@ func TestErrors(t *testing.T) {
 	if _, err := Best(in, 2); err == nil {
 		t.Fatal("2 GPUs cannot fit 2.5B")
 	}
-	if _, err := Evaluate(in, 0, 1); err == nil {
+	if _, err := NewPlanner(in).Evaluate(0, 1); err == nil {
 		t.Fatal("P=0 must fail")
 	}
 }

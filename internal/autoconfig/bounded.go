@@ -13,22 +13,24 @@ import (
 // (P, D) shapes the sweeps of the decision's fleet levels take, first
 // occurrence kept, each with a makespan bound per micro-batch size. A
 // depth is simulated only when the decision rule cannot rule it out
-// by its bound. Depths are simulated one at a time, in an order that
+// by its bound. A walk simulates depths one at a time, in an order that
 // depends only on the inputs and the cache contents, never on
 // GOMAXPROCS or goroutine timing; within a depth, presimulate runs the
 // micro-batch sizes concurrently and evaluate commits them serially.
 type candSet struct {
-	in     Inputs
-	g      int
-	cache  *costCache
-	depths []candDepth // level order, ascending D within a level
+	in    Inputs
+	g     int
+	cache *costCache
+	// plans and depths are indexed alike: level order, ascending D
+	// within a level.
+	plans  []depthPlan
+	depths []candDepth
 }
 
-// candDepth is one depth of a candSet.
+// candDepth is the decision state of one depth of a candSet.
 type candDepth struct {
-	plan depthPlan
 	// bounds holds, per micro-batch size, the cached estimate when the
-	// cache holds one at the size's Nm (exact), else
+	// cost pass found one at the size's Nm (exact), else
 	// sim.MakespanLowerBound (never above the estimate). It is nil when
 	// some size offers no bound, or its costs fail to assemble (evaluate
 	// then meets the same error).
@@ -53,10 +55,11 @@ var (
 	shrinkLevels = []level{{1, 1}, {3, 4}, {1, 2}, {1, 4}}
 )
 
-// newCandSet plans and bounds every shape the sweeps of g's levels
-// take. Levels below one GPU are skipped. A depth that cannot be
-// partitioned, or that leaves no micro-batch size, fails evaluate
-// without simulating, so it is dropped here as a sweep drops it.
+// newCandSet plans, runs the cost pass of, and bounds every shape the
+// sweeps of g's levels take. Levels below one GPU are skipped. A depth
+// that cannot be partitioned, or that leaves no micro-batch size,
+// fails evaluate without simulating, so it is dropped here as a sweep
+// drops it.
 func newCandSet(in Inputs, g int, levels []level, cache *costCache) (*candSet, error) {
 	if g < 1 {
 		return nil, fmt.Errorf("autoconfig: no GPUs")
@@ -81,26 +84,28 @@ func newCandSet(in Inputs, g int, levels []level, cache *costCache) (*candSet, e
 			if err != nil || len(dp.micros) == 0 {
 				continue
 			}
-			s.depths = append(s.depths, candDepth{plan: dp, bounds: dp.bounds(in, cache)})
+			dp.loadCosts(in, cache)
+			s.plans = append(s.plans, dp)
 		}
+	}
+	s.depths = make([]candDepth, len(s.plans))
+	for i := range s.plans {
+		s.depths[i].bounds = s.plans[i].bounds()
 	}
 	return s, nil
 }
 
 // bounds returns the makespan bound of each micro-batch size of dp
-// (see candDepth.bounds). The costs it assembles or finds cached stay
-// on dp, so evaluating dp later rebuilds none.
-func (dp *depthPlan) bounds(in Inputs, cache *costCache) []simtime.Duration {
+// after its cost pass (see candDepth.bounds).
+func (dp *depthPlan) bounds() []simtime.Duration {
 	out := make([]simtime.Duration, len(dp.micros))
-	for i := range dp.micros {
-		mp := &dp.micros[i]
-		costs, est, exact, err := cache.costsFor(in, dp, *mp)
-		if err != nil {
+	for i, mp := range dp.micros {
+		if mp.costs == nil {
 			return nil
 		}
-		mp.costs, mp.cached = costs, exact
-		if !exact {
-			if est = sim.MakespanLowerBound(simConfig(dp.p, mp.nm, costs)); est <= 0 {
+		est := mp.est
+		if est <= 0 {
+			if est = sim.MakespanLowerBound(simConfig(dp.p, mp.nm, mp.costs)); est <= 0 {
 				return nil
 			}
 		}
@@ -121,21 +126,24 @@ func (s *candSet) ceilings(ec Econ) []float64 {
 			ceil[i] = math.Inf(1)
 			continue
 		}
-		for j, mp := range d.plan.micros {
-			ceil[i] = max(ceil[i], ec.EffectiveExPerSec(d.plan.choice(mp, d.bounds[j])))
+		dp := &s.plans[i]
+		for j, mp := range dp.micros {
+			ceil[i] = max(ceil[i], ec.EffectiveExPerSec(dp.choice(mp, d.bounds[j])))
 		}
 	}
 	return ceil
 }
 
 // simulate evaluates depth i, once, and reports whether it produced a
-// choice; a depth that errors does not fit, as in a sweep.
+// choice; a depth that errors does not fit, as in a sweep. It
+// presimulates depth i alone unless the caller presimulated it
+// already.
 func (s *candSet) simulate(i int) bool {
 	d := &s.depths[i]
 	if !d.simulated {
 		d.simulated = true
-		d.plan.presimulate()
-		c, err := d.plan.evaluate(s.in, s.cache)
+		presimulate(s.plans[i : i+1])
+		c, err := s.plans[i].evaluate(s.in, s.cache)
 		d.choice, d.ok = c, err == nil
 	}
 	return d.ok
@@ -202,8 +210,8 @@ func (s *candSet) walkMax(ec Econ, ceil []float64) {
 // them. While no σ is finite, no floor stops the walk.
 func (s *candSet) walkBaseline(ec Econ, ceil []float64, rate float64) {
 	floor := make([]float64, len(s.depths))
-	for i, d := range s.depths {
-		floor[i] = dollarsPerExample(rate, d.plan.p*d.plan.d, ceil[i])
+	for i, dp := range s.plans {
+		floor[i] = dollarsPerExample(rate, dp.p*dp.d, ceil[i])
 	}
 	best := math.Inf(1)
 	for _, i := range s.order(func(a, b int) bool { return floor[a] < floor[b] }) {
@@ -226,7 +234,7 @@ func (s *candSet) walkBaseline(ec Econ, ceil []float64, rate float64) {
 // count where one clears need. It reports whether one did; if none
 // did, no depth can.
 func (s *candSet) walkDeadline(ec Econ, ceil []float64, need float64) bool {
-	gpus := func(i int) int { return s.depths[i].plan.p * s.depths[i].plan.d }
+	gpus := func(i int) int { return s.plans[i].p * s.plans[i].d }
 	cleared := -1
 	for _, i := range s.order(func(a, b int) bool { return gpus(a) < gpus(b) }) {
 		if ceil[i] < need {
@@ -279,7 +287,8 @@ func boundedBest(in Inputs, g int, cache *costCache) (Choice, int, error) {
 //
 // When the baseline price is not finite and positive (or rate × g
 // overflows), σ is not monotone in throughput; a NaN required rate
-// admits every candidate. Every depth is simulated then.
+// admits every candidate. Every depth is simulated then, and
+// presimulated at once, as a sweep's are.
 func boundedDollar(in Inputs, g int, obj Objective, ec Econ, cache *costCache) ([]Choice, int, error) {
 	s, err := newCandSet(in, g, shrinkLevels, cache)
 	if err != nil {
@@ -290,6 +299,7 @@ func boundedDollar(in Inputs, g int, obj Objective, ec Econ, cache *costCache) (
 	required := requiredRate(obj, ec)
 	switch {
 	case !(rate > 0) || math.IsInf(rate*float64(g), 1) || math.IsNaN(required):
+		presimulate(s.plans)
 		for i := range s.depths {
 			s.simulate(i)
 		}

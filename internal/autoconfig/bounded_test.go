@@ -108,22 +108,25 @@ func TestPlannerBestDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecisionsIndependentOfGOMAXPROCS: a bounded decision simulates
-// each depth's micro-batch sizes concurrently and commits them
-// serially, in size order. So its choices, errors, PlannerStats and
-// ExportState bytes are the same at GOMAXPROCS 1, 2 and 8: for Best,
-// and for BestFor's min-$, its deadline with and without a required
-// rate, and its simulate-everything fallback (no price). Three planners
-// decide: a cold one, one warmed by ImportState, and a capped one whose
-// cache evicts during decisions, so that some sizes cached at bound
-// time are simulated at their commit. At this cap, which keys survive
-// depends on the order of the commits.
+// TestDecisionsIndependentOfGOMAXPROCS: every evaluation simulates its
+// micro-batch sizes concurrently and commits them serially, in
+// candidate order and then size order. So choices, errors, PlannerStats
+// and ExportState bytes are the same at GOMAXPROCS 1, 2 and 8: for
+// Best; for BestFor's min-$, its deadline with and without a required
+// rate, and its simulate-everything fallback (no price); for Sweep;
+// and for Evaluate. Three planners run the calls: a cold one, one
+// warmed by ImportState, and a capped one whose cache evicts during
+// decisions and sweeps, so that some sizes cached at their cost pass
+// are evicted before their commit. At this cap, which keys survive
+// depends on the order of the commits. The stateless Sweep is compared
+// across the same GOMAXPROCS values too; GOMAXPROCS 1 is the serial
+// run.
 func TestDecisionsIndependentOfGOMAXPROCS(t *testing.T) {
 	in := inputsFor(t, model.GPT2XL2B(), 53)
 	minDollar := Objective{Kind: ObjMinDollarPerExample}
 	deadline := Objective{Kind: ObjDeadline, DeadlineAt: simtime.Time(24 * simtime.Hour), TargetExamples: 5e6}
-	// Seven sweeps: five dollar decisions and two Best memo misses; the
-	// last Best hits the memo.
+	// Seven decisions count a sweep: five dollar decisions and two Best
+	// memo misses; the last Best hits the memo.
 	cases := []dollarCase{
 		{40, Objective{}, Econ{}},
 		{40, minDollar, Econ{PerGPUHour: 2.4, MeanPerGPUHour: 2.4}},
@@ -140,20 +143,30 @@ func TestDecisionsIndependentOfGOMAXPROCS(t *testing.T) {
 	if r := requiredRate(cases[3].obj, cases[3].ec); r != 0 {
 		t.Fatalf("the met deadline requires a rate (%v)", r)
 	}
+	// Five more sweeps, and evaluations that fit, do not fit (P=2) and
+	// are malformed (P=0).
+	sweeps := []int{40, 36, 56, 40, 24}
+	shapes := []shape{{18, 2}, {9, 4}, {2, 1}, {0, 1}}
 
 	type outcome struct {
-		decisions []decided
-		stats     PlannerStats
-		state     string
+		results []decided
+		stats   PlannerStats
+		state   string
 	}
-	decideAll := func(pl *Planner, cs []dollarCase) outcome {
+	runAll := func(pl *Planner, cs []dollarCase, sweeps []int, shapes []shape) outcome {
 		var out outcome
 		for _, c := range cs {
 			if c.obj.Kind == ObjMaxThroughput {
-				out.decisions = append(out.decisions, decide(pl.Best(c.g)))
+				out.results = append(out.results, decide(pl.Best(c.g)))
 			} else {
-				out.decisions = append(out.decisions, decide(pl.BestFor(c.g, c.obj, c.ec)))
+				out.results = append(out.results, decide(pl.BestFor(c.g, c.obj, c.ec)))
 			}
+		}
+		for _, g := range sweeps {
+			out.results = append(out.results, swept(pl.Sweep(g))...)
+		}
+		for _, sh := range shapes {
+			out.results = append(out.results, decide(pl.Evaluate(sh.p, sh.d)))
 		}
 		state, err := pl.ExportState()
 		if err != nil {
@@ -162,7 +175,7 @@ func TestDecisionsIndependentOfGOMAXPROCS(t *testing.T) {
 		out.stats, out.state = pl.Stats(), string(state)
 		return out
 	}
-	warm := decideAll(NewPlanner(in), cases[:2]).state
+	warm := runAll(NewPlanner(in), cases[:2], nil, nil).state
 
 	for _, pc := range []struct {
 		name  string
@@ -181,24 +194,52 @@ func TestDecisionsIndependentOfGOMAXPROCS(t *testing.T) {
 		var want outcome
 		for _, procs := range []int{1, 2, 8} {
 			prev := runtime.GOMAXPROCS(procs)
-			got := decideAll(pc.build(), cases)
+			got := runAll(pc.build(), cases, sweeps, shapes)
 			runtime.GOMAXPROCS(prev)
 			if procs == 1 {
 				want = got
 				continue
 			}
-			if !reflect.DeepEqual(got.decisions, want.decisions) || got.stats != want.stats || got.state != want.state {
-				t.Fatalf("%s planner at GOMAXPROCS %d differs from GOMAXPROCS 1 (decisions equal %v, state equal %v)\n1: %+v\n%d: %+v",
-					pc.name, procs, reflect.DeepEqual(got.decisions, want.decisions), got.state == want.state, want.stats, procs, got.stats)
+			if !reflect.DeepEqual(got.results, want.results) || got.stats != want.stats || got.state != want.state {
+				t.Fatalf("%s planner at GOMAXPROCS %d differs from GOMAXPROCS 1 (results equal %v, state equal %v)\n1: %+v\n%d: %+v",
+					pc.name, procs, reflect.DeepEqual(got.results, want.results), got.state == want.state, want.stats, procs, got.stats)
 			}
 		}
 		switch s := want.stats; {
-		case pc.name == "cold" && (s.Sweeps != 7 || s.DecisionMisses != 2 || s.DecisionHits != 1):
-			t.Fatalf("each Best memo miss and each dollar decision counts one sweep: %+v", s)
+		case pc.name == "cold" && (s.Sweeps != 7+uint64(len(sweeps)) || s.DecisionMisses != 2 || s.DecisionHits != 1):
+			t.Fatalf("each sweep, Best memo miss and dollar decision counts one sweep: %+v", s)
 		case pc.name == "capped" && s.CostEvictions == 0:
 			t.Fatalf("a cap of 32 cost keys must evict during the decisions: %+v", s)
 		}
 	}
+
+	var want [][]decided
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		var got [][]decided
+		for _, g := range []int{5, 24, 36, 100, 128, 300} {
+			got = append(got, swept(Sweep(in, g)))
+		}
+		runtime.GOMAXPROCS(prev)
+		if procs == 1 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("stateless Sweep at GOMAXPROCS %d differs from GOMAXPROCS 1", procs)
+		}
+	}
+}
+
+// swept is a Sweep outcome in comparable form: one entry per choice, or
+// the error.
+func swept(cs []Choice, err error) []decided {
+	if err != nil {
+		return []decided{{err: err.Error()}}
+	}
+	out := make([]decided, len(cs))
+	for i, c := range cs {
+		out[i] = decided{choice: c}
+	}
+	return out
 }
 
 // TestPlannerBestSkipsDepths: a cold bounded Best(128) on 8.3B

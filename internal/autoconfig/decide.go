@@ -51,13 +51,14 @@ func (hz Horizon) discounted(usable simtime.Duration) simtime.Duration {
 type MorphDecision struct {
 	// Morph reports whether reconfiguring beats holding.
 	Morph bool
-	// Choice is the sweep's best configuration for the new fleet (the
-	// would-be target even when holding).
+	// Choice is the objective's target configuration for the new fleet
+	// (the would-be target even when holding).
 	Choice Choice
 	// Costs is the modeled downtime of moving to Choice.
 	Costs restart.Costs
 	// GainPerSec is the steady-state throughput delta of Choice over
-	// the held configuration (examples/s; <= 0 always holds).
+	// the held configuration (examples/s; <= 0 always holds under max
+	// throughput).
 	GainPerSec float64
 	// Horizon is the expected time until the next fleet event the
 	// decision discounted the gain over.
@@ -67,37 +68,24 @@ type MorphDecision struct {
 	PreemptNext bool
 	// MorphCostPerEx and HoldCostPerEx are the dollars-per-example of
 	// the two paths over the decision window, filled only by the
-	// dollar objectives (BestOrHoldObjective) when both paths produce
-	// examples — the quantities the decision compared.
+	// dollar objectives when both paths produce examples — the
+	// quantities the decision compared.
 	MorphCostPerEx, HoldCostPerEx float64
 }
 
-// BestOrHold is the cost-aware variant of Best: given the currently
+// BestOrHold is the cost-aware variant of BestFor: given the currently
 // running configuration, a reconfiguration-cost model and the expected
 // time until the next fleet event (spot-derived), it decides whether
-// morphing to the sweep's best choice for g GPUs pays for itself
-// before the fleet likely changes again.
-//
-// The trade is examples: morphing forfeits cur's throughput for the
-// modeled downtime, then earns the throughput gain only over whatever
-// remains of the expected stable window. Hold when
-//
-//	gain × max(0, horizon − downtime)  ≤  cur_throughput × downtime
-//
-// i.e. when modeled downtime exceeds the discounted steady-state gain.
-// When the forecast expects the next fleet event to be another
-// preemption (hz.PreemptNext), the post-downtime gain window is
-// additionally discounted before the comparison — a preemption forces
-// a restart that re-prices the configuration anyway, and preemption
-// bursts make the EWMA gap an overestimate of the remaining window —
-// so marginal morphs hold. The discount is hz.HoldDiscount, the
-// calibrated hazard-ratio fraction (falling back to ½ while
-// uncalibrated; see Horizon). A job that is not running, or whose current
-// shape no longer fits the fleet, always morphs. The underlying
-// Best(g) is memoized as usual, so the added decision work is
-// arithmetic, not simulation.
-func (pl *Planner) BestOrHold(g int, cur Choice, running bool, rm *restart.Model, hz Horizon, dirty bool) (MorphDecision, error) {
-	best, err := pl.Best(g)
+// morphing to BestFor's choice for g GPUs under obj and ec pays for
+// itself before the fleet likely changes again. A job that is not
+// running, or whose current shape no longer fits the fleet, always
+// morphs; a job already running the chosen shape holds. Otherwise
+// each objective applies its own trade: examples for max throughput
+// (tradeExamples), dollar surplus for the dollar objectives
+// (tradeDollars). The underlying decision is memoized or bounded as
+// BestFor's is, so the added work is arithmetic, not simulation.
+func (pl *Planner) BestOrHold(g int, cur Choice, running bool, rm *restart.Model, hz Horizon, dirty bool, obj Objective, ec Econ) (MorphDecision, error) {
+	best, baseline, err := pl.bestForEcon(g, obj, ec)
 	if err != nil {
 		return MorphDecision{}, err
 	}
@@ -111,17 +99,39 @@ func (pl *Planner) BestOrHold(g int, cur Choice, running bool, rm *restart.Model
 	}
 	dec.Costs = rm.Price(assignmentOf(cur), assignmentOf(best), dirty)
 	dec.GainPerSec = best.TotalExPerSec() - cur.TotalExPerSec()
-	if cur.GPUsUsed > g {
+	switch {
+	case cur.GPUsUsed > g:
 		// The running shape no longer fits the fleet: forced morph.
 		dec.Morph = true
-		return dec, nil
-	}
-	if best.P == cur.P && best.D == cur.D {
+	case best.P == cur.P && best.D == cur.D:
 		// Same shape: nothing to gain from a voluntary restart.
-		return dec, nil
+	case obj.Kind == ObjMaxThroughput:
+		dec.tradeExamples(cur, hz)
+	default:
+		dec.tradeDollars(cur, hz, obj, ec, baseline)
 	}
+	return dec, nil
+}
+
+// tradeExamples is max throughput's morph-or-hold rule. Morphing
+// forfeits cur's throughput for the modeled downtime, then earns the
+// throughput gain only over whatever remains of the expected stable
+// window. Hold when
+//
+//	gain × max(0, horizon − downtime)  ≤  cur_throughput × downtime
+//
+// i.e. when modeled downtime exceeds the discounted steady-state gain.
+// When the forecast expects the next fleet event to be another
+// preemption (hz.PreemptNext), the post-downtime gain window is
+// additionally discounted before the comparison — a preemption forces
+// a restart that re-prices the configuration anyway, and preemption
+// bursts make the EWMA gap an overestimate of the remaining window —
+// so marginal morphs hold. The discount is hz.HoldDiscount, the
+// calibrated hazard-ratio fraction (falling back to ½ while
+// uncalibrated; see Horizon). A gain of zero or less always holds.
+func (dec *MorphDecision) tradeExamples(cur Choice, hz Horizon) {
 	if dec.GainPerSec <= 0 {
-		return dec, nil
+		return
 	}
 	down := dec.Costs.Total()
 	usable := hz.Until - down
@@ -132,7 +142,6 @@ func (pl *Planner) BestOrHold(g int, cur Choice, running bool, rm *restart.Model
 	earned := dec.GainPerSec * usable.Seconds()
 	forfeited := cur.TotalExPerSec() * down.Seconds()
 	dec.Morph = earned > forfeited
-	return dec, nil
 }
 
 // assignmentOf converts a sweep choice into the restart model's

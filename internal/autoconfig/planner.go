@@ -1,7 +1,6 @@
 package autoconfig
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -81,7 +80,7 @@ func NewPlanner(in Inputs) *Planner {
 func NewPlannerCapped(in Inputs, costEntries, decisions int) *Planner {
 	return &Planner{
 		in:    in,
-		cache: newCostCacheCap(64, costEntries),
+		cache: newCostCache(costEntries),
 		dec:   gen2.New[int, plannerDecision](decisions, 0),
 	}
 }
@@ -120,7 +119,7 @@ func sameCuts(a, b []model.CutPoint) bool {
 func (pl *Planner) Sweep(g int) ([]Choice, error) {
 	done := pl.startSweep()
 	defer done(0)
-	return sweepWorkers(pl.in, g, runtime.GOMAXPROCS(0), pl.cache)
+	return sweep(pl.in, g, pl.cache)
 }
 
 // startSweep counts one sweep and returns a func to call when it ends
@@ -147,9 +146,18 @@ func (pl *Planner) startSweep() func(skips int) {
 }
 
 // Evaluate simulates a single explicit (P, D) shape through the
-// lifetime cache.
+// lifetime cache, choosing the micro-batch size jointly: every
+// memory-feasible profiled size up to the kernel sweet spot that
+// pruneMicroSizes keeps is simulated and the fastest wins.
 func (pl *Planner) Evaluate(p, d int) (Choice, error) {
-	return evaluate(pl.in, p, d, pl.cache)
+	dp, err := planDepth(pl.in, p, d)
+	if err != nil {
+		return Choice{}, err
+	}
+	plans := []depthPlan{dp}
+	plans[0].loadCosts(pl.in, pl.cache)
+	presimulate(plans)
+	return plans[0].evaluate(pl.in, pl.cache)
 }
 
 // Best returns the highest-throughput configuration for g GPUs,

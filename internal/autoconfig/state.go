@@ -12,8 +12,9 @@ import (
 )
 
 // PlannerState is the serializable snapshot of a Planner's lifetime
-// caches — what restart.SaveState persists alongside the §4.5
-// checkpoint so a manager restart resumes with warm morph decisions.
+// caches — what restart.SaveSections persists, as its SectionPlanner,
+// alongside the §4.5 checkpoint so a manager restart resumes with warm
+// morph decisions.
 // The snapshot records every Inputs field that cached values depend on;
 // ImportState refuses a snapshot taken for a different job.
 type PlannerState struct {

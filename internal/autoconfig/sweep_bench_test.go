@@ -37,9 +37,10 @@ func benchInputsFor(b *testing.B, spec *model.Spec, k int) Inputs {
 }
 
 // BenchmarkSweepParallel measures the full morph decision for a
-// 128-GPU 8.3B job on the GOMAXPROCS worker pool. The seed (serial,
-// traced simulator) implementation measured 1.033 s/op and 5070504
-// allocs/op on this config.
+// 128-GPU 8.3B job: every micro-batch size of every depth simulated on
+// min(GOMAXPROCS, n) workers. Run it with -cpu 1 for the serial sweep.
+// The seed (serial, traced simulator) implementation measured
+// 1.033 s/op and 5070504 allocs/op on this config.
 func BenchmarkSweepParallel(b *testing.B) {
 	in := benchInputs(b)
 	b.ReportAllocs()
@@ -52,9 +53,9 @@ func BenchmarkSweepParallel(b *testing.B) {
 }
 
 // BenchmarkPlannerBestCold measures the same decision through a fresh
-// Planner's Best: the serial branch-and-bound simulates only the depths
-// the makespan bound cannot rule out, to be read against
-// BenchmarkSweepParallel.
+// Planner's Best: the branch-and-bound simulates, one depth at a time,
+// only the depths the makespan bound cannot rule out, to be read
+// against BenchmarkSweepParallel.
 func BenchmarkPlannerBestCold(b *testing.B) {
 	in := benchInputs(b)
 	b.ReportAllocs()
@@ -96,19 +97,6 @@ func BenchmarkBestForMinDollarWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pl.BestFor(40, obj, ec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepSerial is the one-worker reference, isolating the
-// multicore speedup from the single-simulation fast path.
-func BenchmarkSweepSerial(b *testing.B) {
-	in := benchInputs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sweepWorkers(in, 128, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

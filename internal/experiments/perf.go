@@ -43,78 +43,50 @@ func varunaAt(job jobLike, p, d int) (autoconfig.Choice, float64, error) {
 // three fleet sizes. Mini-batch 8192; Varuna uses 18-deep pipelines
 // (18x3, 18x7, 18x16 — 54/126/288 GPUs), as in the paper.
 func Fig5GPT8B(x *Ctx) (*Table, error) {
-	spec := model.GPT2Megatron8B()
-	const mTotal = 8192
-	t := &Table{
-		Title:  "Figure 5: Varuna vs Megatron, GPT-2 8.3B (ex/s/GPU)",
-		Header: []string{"GPUs", "Varuna(LP)", "Megatron(LP)", "Varuna(HC)", "Megatron(HC)", "Varuna-LP/Megatron-LP"},
-	}
-	hcCluster := hw.Hypercluster(16)
-	hcJob, err := x.sharedJob(spec, hcCluster, mTotal, 42)
-	if err != nil {
-		return nil, err
-	}
-	for _, cfg := range []struct{ g, d int }{{64, 3}, {128, 7}, {300, 16}} {
-		lpCluster := hw.SpotCluster(hw.NC24v3, cfg.g)
-		lpJob, err := x.sharedJob(spec, lpCluster, mTotal, 42)
-		if err != nil {
-			return nil, err
-		}
-		_, varunaLP, err := varunaAt(lpJob, 18, cfg.d)
-		if err != nil {
-			return nil, err
-		}
-		megLP, _ := megatronOn(spec, lpCluster, cfg.g, 4, mTotal)
-		hcG := cfg.g
-		if hcG > hcCluster.NumGPUs() {
-			hcG = hcCluster.NumGPUs()
-		}
-		_, varunaHC, err := varunaAt(hcJob, 18, hcG/18)
-		if err != nil {
-			return nil, err
-		}
-		megHC, _ := megatronOn(spec, hcCluster, hcG, 4, mTotal)
-		ratio := 0.0
-		if megLP > 0 {
-			ratio = varunaLP / megLP
-		}
-		t.Add(fmt.Sprint(cfg.g), f3(varunaLP), f3(megLP), f3(varunaHC), f3(megHC), f1(ratio)+"x")
-	}
-	t.Notes = append(t.Notes,
+	return varunaVsMegatron(x, "Figure 5: Varuna vs Megatron, GPT-2 8.3B (ex/s/GPU)",
+		model.GPT2Megatron8B(), 42, 18, []fleetRow{{64, 3}, {128, 7}, {300, 16}},
 		"paper: Varuna(LP) ≈ 0.56 ex/s/GPU, ~18x over Megatron(LP), and 17% above Megatron(HC)")
-	return t, nil
 }
 
 // Fig6GPT2B reproduces Figure 6 for the 2.5B model (Varuna at 9x7,
 // 9x14, 9x28).
 func Fig6GPT2B(x *Ctx) (*Table, error) {
-	spec := model.GPT2XL2B()
+	return varunaVsMegatron(x, "Figure 6: Varuna vs Megatron, GPT-2 2.5B (ex/s/GPU)",
+		model.GPT2XL2B(), 43, 9, []fleetRow{{63, 7}, {126, 14}, {252, 28}},
+		"paper: Varuna 4.1x over Megatron on commodity VMs, within 4% of hypercluster Varuna")
+}
+
+// fleetRow is one fleet size of Figure 5 or 6: g low-priority GPUs, on
+// which Varuna runs D replicas of its pipeline.
+type fleetRow struct{ g, d int }
+
+// varunaVsMegatron is one of Figures 5 and 6: spec at mini-batch 8192,
+// Varuna at pipeline depth p against Megatron, on low-priority VMs and
+// on the hypercluster, one row per fleet size.
+func varunaVsMegatron(x *Ctx, title string, spec *model.Spec, seed int64, p int, rows []fleetRow, note string) (*Table, error) {
 	const mTotal = 8192
 	t := &Table{
-		Title:  "Figure 6: Varuna vs Megatron, GPT-2 2.5B (ex/s/GPU)",
+		Title:  title,
 		Header: []string{"GPUs", "Varuna(LP)", "Megatron(LP)", "Varuna(HC)", "Megatron(HC)", "Varuna-LP/Megatron-LP"},
 	}
 	hcCluster := hw.Hypercluster(16)
-	hcJob, err := x.sharedJob(spec, hcCluster, mTotal, 43)
+	hcJob, err := x.sharedJob(spec, hcCluster, mTotal, seed)
 	if err != nil {
 		return nil, err
 	}
-	for _, cfg := range []struct{ g, d int }{{63, 7}, {126, 14}, {252, 28}} {
-		lpCluster := hw.SpotCluster(hw.NC24v3, cfg.g)
-		lpJob, err := x.sharedJob(spec, lpCluster, mTotal, 43)
+	for _, row := range rows {
+		lpCluster := hw.SpotCluster(hw.NC24v3, row.g)
+		lpJob, err := x.sharedJob(spec, lpCluster, mTotal, seed)
 		if err != nil {
 			return nil, err
 		}
-		_, varunaLP, err := varunaAt(lpJob, 9, cfg.d)
+		_, varunaLP, err := varunaAt(lpJob, p, row.d)
 		if err != nil {
 			return nil, err
 		}
-		megLP, _ := megatronOn(spec, lpCluster, cfg.g, 4, mTotal)
-		hcG := cfg.g
-		if hcG > hcCluster.NumGPUs() {
-			hcG = hcCluster.NumGPUs()
-		}
-		_, varunaHC, err := varunaAt(hcJob, 9, hcG/9)
+		megLP, _ := megatronOn(spec, lpCluster, row.g, 4, mTotal)
+		hcG := min(row.g, hcCluster.NumGPUs())
+		_, varunaHC, err := varunaAt(hcJob, p, hcG/p)
 		if err != nil {
 			return nil, err
 		}
@@ -123,10 +95,9 @@ func Fig6GPT2B(x *Ctx) (*Table, error) {
 		if megLP > 0 {
 			ratio = varunaLP / megLP
 		}
-		t.Add(fmt.Sprint(cfg.g), f3(varunaLP), f3(megLP), f3(varunaHC), f3(megHC), f1(ratio)+"x")
+		t.Add(fmt.Sprint(row.g), f3(varunaLP), f3(megLP), f3(varunaHC), f3(megHC), f1(ratio)+"x")
 	}
-	t.Notes = append(t.Notes,
-		"paper: Varuna 4.1x over Megatron on commodity VMs, within 4% of hypercluster Varuna")
+	t.Notes = append(t.Notes, note)
 	return t, nil
 }
 

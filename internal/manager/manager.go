@@ -35,7 +35,7 @@ const (
 	// PolicyModeled always reconfigures on fleet changes but charges
 	// the restart-model price instead of a constant.
 	PolicyModeled
-	// PolicyConstant charges the flat ConstOverhead per morph — the
+	// PolicyConstant charges the flat constOverhead per morph — the
 	// paper's original accounting, kept for the restart-cost ablation.
 	PolicyConstant
 )
@@ -54,24 +54,28 @@ func (p MorphPolicy) String() string {
 	}
 }
 
-// Options tunes the §4.6 manager: checkpoint cadence, reconfiguration
-// pricing and the fail-stutter detection threshold.
-type Options struct {
-	// CheckpointEvery is the checkpoint cadence in mini-batches.
-	CheckpointEvery int
-	// CheckpointOverhead is the stall per checkpoint (local SSD write;
+// Manager parameters fixed to the deployment the paper describes.
+const (
+	// checkpointEvery is the checkpoint cadence in mini-batches.
+	checkpointEvery = 8
+	// checkpointOverhead is the stall per checkpoint (local SSD write;
 	// cloud upload happens in the background, §4.5).
-	CheckpointOverhead simtime.Duration
-	// StragglerThreshold flags a VM whose compute heartbeat exceeds
-	// the fleet median by this factor (§4.6 reports ~30% stutters).
-	StragglerThreshold float64
+	checkpointOverhead = 15 * simtime.Second
+	// stragglerThreshold flags a VM whose compute heartbeat exceeds the
+	// fleet median by this factor (§4.6 reports ~30% stutters).
+	stragglerThreshold = 1.20
+	// constOverhead is the flat per-morph downtime charged under
+	// PolicyConstant (the paper's ~4-minute figure); the modeled
+	// policies ignore it.
+	constOverhead = 4 * simtime.Minute
+)
+
+// Options tunes the §4.6 manager: reconfiguration pricing, decision
+// objective, heartbeat cadence and what the run records into.
+type Options struct {
 	// Policy selects reconfiguration pricing: restart-model based
 	// (with or without the hold option) or the legacy flat constant.
 	Policy MorphPolicy
-	// ConstOverhead is the flat per-morph downtime charged under
-	// PolicyConstant (the paper's ~4-minute figure); ignored by the
-	// modeled policies.
-	ConstOverhead simtime.Duration
 	// EventGapPrior seeds the fleet-event gap estimator before any
 	// gap has been observed — the assumed stable-window length of the
 	// first morph-or-hold decisions. Zero defers to the caller: a
@@ -130,7 +134,7 @@ type Options struct {
 	// every segment measurement as testbed.JobConfig.ExtraSlow, so a
 	// degrading VM shows up in the *measured* mini-batch time — not
 	// just in its heartbeat pace. Sub-threshold stragglers (too mild
-	// for StragglerThreshold to flag) then visibly slow the segment,
+	// for stragglerThreshold to flag) then visibly slow the segment,
 	// and a heartbeat check whose slow set drifted re-measures the
 	// segment in place. Off by default: the historical manager
 	// measured every segment as if the surviving fleet were healthy,
@@ -151,12 +155,8 @@ const DefaultSampleEvery = simtime.Minute
 // than the paper's flat 4-minute constant.
 func DefaultOptions() Options {
 	return Options{
-		CheckpointEvery:    8,
-		CheckpointOverhead: 15 * simtime.Second,
-		StragglerThreshold: 1.20,
-		Policy:             PolicyMorphOrHold,
-		ConstOverhead:      4 * simtime.Minute,
-		HeartbeatEvery:     10 * simtime.Minute,
+		Policy:         PolicyMorphOrHold,
+		HeartbeatEvery: 10 * simtime.Minute,
 	}
 }
 
@@ -304,7 +304,7 @@ type Manager struct {
 	//
 	// Degrade marks VMs whose compute pace degrades at a given
 	// instant: fail-stutter onset (§4.6) when the factor exceeds
-	// StragglerThreshold (caught by a heartbeat check within one
+	// stragglerThreshold (caught by a heartbeat check within one
 	// interval), or a sub-threshold straggler that survives detection
 	// and — with Options.MeasureStragglers — drags the measured
 	// mini-batch time instead.
@@ -748,7 +748,7 @@ func (r *timelineRun) econ() autoconfig.Econ {
 	ec := autoconfig.Econ{
 		Now:             r.now,
 		DoneExamples:    r.stats.Examples,
-		CheckpointEvery: r.mg.Opts.CheckpointEvery,
+		CheckpointEvery: checkpointEvery,
 	}
 	if r.meter != nil {
 		ec.PerGPUHour = r.meter.Curve().At(r.now)
@@ -939,7 +939,7 @@ func (r *timelineRun) sampleStragglers(rng *simtime.Rand) int {
 	for _, id := range ids {
 		hb[id] = r.live[id].speed * (1 + 0.02*rng.NormFloat64())
 	}
-	flagged := DetectStragglers(hb, r.mg.Opts.StragglerThreshold)
+	flagged := DetectStragglers(hb, stragglerThreshold)
 	for _, id := range flagged {
 		r.live[id].slow = true
 		r.stats.StragglersExcluded++
@@ -1024,7 +1024,7 @@ func (r *timelineRun) morph(label string, forced bool) {
 		// The paper's flat-constant ablation predates the dollar
 		// objectives and ignores them: always the throughput-best.
 		choice, err = r.mg.Plan.Best(g)
-		down = r.mg.Opts.ConstOverhead
+		down = constOverhead
 	case r.mg.Opts.Policy == PolicyMorphOrHold && r.running && !forced:
 		hz := autoconfig.Horizon{Until: r.gaps.Expected()}
 		if k, ok := r.gaps.NextKind(); ok && k == spot.Preempt {
@@ -1054,7 +1054,7 @@ func (r *timelineRun) morph(label string, forced bool) {
 			}
 		}
 		var dec autoconfig.MorphDecision
-		dec, err = r.mg.Plan.BestOrHoldObjective(g, r.current, true, r.mg.RM, hz, dirty, obj, r.econ())
+		dec, err = r.mg.Plan.BestOrHold(g, r.current, true, r.mg.RM, hz, dirty, obj, r.econ())
 		if err == nil && !dec.Morph {
 			released := 0
 			if obj.Shrinks() {
@@ -1299,11 +1299,11 @@ func (r *timelineRun) step(int32, int32) {
 		r.stats.MiniBatches++
 		r.stats.Examples += float64(r.current.Examples)
 		r.sinceCkpt++
-		if r.sinceCkpt >= r.mg.Opts.CheckpointEvery {
+		if r.sinceCkpt >= checkpointEvery {
 			r.chargeTraining(r.now)
 			// A replicated checkpoint also pays the cross-domain shard
 			// push (zero with replication off or on flat clusters).
-			stall := r.mg.Opts.CheckpointOverhead +
+			stall := checkpointOverhead +
 				r.mg.RM.ReplicationOverhead(restart.Assignment{Stages: r.current.Stages, D: r.current.D})
 			r.now = r.now.Add(stall)
 			r.chargeDowntime(r.now)
@@ -1540,17 +1540,8 @@ func (ru *Run) Finish() ([]TimelinePoint, Stats) {
 
 // Validate sanity-checks options.
 func (o Options) Validate() error {
-	if o.CheckpointEvery < 1 {
-		return fmt.Errorf("manager: CheckpointEvery must be ≥ 1")
-	}
-	if o.StragglerThreshold <= 1 {
-		return fmt.Errorf("manager: StragglerThreshold must exceed 1")
-	}
 	if o.Policy < PolicyMorphOrHold || o.Policy > PolicyConstant {
 		return fmt.Errorf("manager: unknown morph policy %d", int(o.Policy))
-	}
-	if o.Policy == PolicyConstant && o.ConstOverhead <= 0 {
-		return fmt.Errorf("manager: PolicyConstant needs ConstOverhead > 0")
 	}
 	if o.HeartbeatEvery < 0 {
 		return fmt.Errorf("manager: HeartbeatEvery must be >= 0")

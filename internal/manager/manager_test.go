@@ -47,25 +47,9 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := DefaultOptions()
-	bad.CheckpointEvery = 0
-	if bad.Validate() == nil {
-		t.Fatal("CheckpointEvery=0 must fail")
-	}
-	bad = DefaultOptions()
-	bad.StragglerThreshold = 0.9
-	if bad.Validate() == nil {
-		t.Fatal("threshold<1 must fail")
-	}
-	bad = DefaultOptions()
 	bad.Policy = MorphPolicy(9)
 	if bad.Validate() == nil {
 		t.Fatal("unknown policy must fail")
-	}
-	bad = DefaultOptions()
-	bad.Policy = PolicyConstant
-	bad.ConstOverhead = 0
-	if bad.Validate() == nil {
-		t.Fatal("constant policy without an overhead must fail")
 	}
 }
 
@@ -196,8 +180,8 @@ func TestPreemptionRollsBackToCheckpoint(t *testing.T) {
 	if stats.Preemptions != 1 {
 		t.Fatalf("preemptions = %d", stats.Preemptions)
 	}
-	if stats.LostMiniBatches < 0 || stats.LostMiniBatches >= mg.Opts.CheckpointEvery {
-		t.Fatalf("lost work %d outside [0, CheckpointEvery)", stats.LostMiniBatches)
+	if stats.LostMiniBatches < 0 || stats.LostMiniBatches >= checkpointEvery {
+		t.Fatalf("lost work %d outside [0, checkpointEvery)", stats.LostMiniBatches)
 	}
 	if stats.Examples <= 0 {
 		t.Fatal("training made no progress")

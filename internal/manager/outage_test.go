@@ -76,8 +76,8 @@ func TestZoneOutageFailsOverWithReplication(t *testing.T) {
 	}
 	// Progress survives: only the uncheckpointed tail rolls back, never
 	// the whole run.
-	if stats.LostMiniBatches >= mg.Opts.CheckpointEvery {
-		t.Fatalf("lost %d mini-batches, want < CheckpointEvery (%d)", stats.LostMiniBatches, mg.Opts.CheckpointEvery)
+	if stats.LostMiniBatches >= checkpointEvery {
+		t.Fatalf("lost %d mini-batches, want < checkpointEvery (%d)", stats.LostMiniBatches, checkpointEvery)
 	}
 	if stats.Examples <= 0 || stats.MiniBatches <= 0 {
 		t.Fatal("job must keep its progress across the failover")
@@ -109,7 +109,7 @@ func TestZoneOutageDiscardsProgressWithoutReplication(t *testing.T) {
 		t.Fatalf("unrecoverable=%d failovers=%d, want 1/0", stats.UnrecoverableOutages, stats.Failovers)
 	}
 	// Hours of checkpointed work die with the zone.
-	if stats.LostMiniBatches < mg.Opts.CheckpointEvery {
+	if stats.LostMiniBatches < checkpointEvery {
 		t.Fatalf("lost %d mini-batches, want at least one checkpoint interval", stats.LostMiniBatches)
 	}
 	foundLoss := false

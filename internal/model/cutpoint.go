@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -72,7 +73,7 @@ func FindCutPoints(s *Spec, k int) ([]CutPoint, error) {
 			if used[i] {
 				continue
 			}
-			if best == -1 || absF(prefix[i]-want) < absF(prefix[best]-want) {
+			if best == -1 || math.Abs(prefix[i]-want) < math.Abs(prefix[best]-want) {
 				best = i
 			}
 		}
@@ -88,13 +89,6 @@ func FindCutPoints(s *Spec, k int) ([]CutPoint, error) {
 	}
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i].OpIndex < cuts[j].OpIndex })
 	return cuts, nil
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Stage is one pipeline partition: a contiguous slice of ops.
@@ -158,7 +152,7 @@ func Partition(s *Spec, cuts []CutPoint, p int, packHeadLast bool) ([]Stage, err
 			if usedCut[ci] {
 				continue
 			}
-			if best == -1 || absF(prefix[c.OpIndex]-want) < absF(prefix[cuts[best].OpIndex]-want) {
+			if best == -1 || math.Abs(prefix[c.OpIndex]-want) < math.Abs(prefix[cuts[best].OpIndex]-want) {
 				best = ci
 			}
 		}

@@ -22,20 +22,6 @@ type StateCarrier interface {
 	ImportState(data []byte) error
 }
 
-// SaveState snapshots c into dir/planner-state.json. The write is
-// atomic (temp file + rename) so a crash mid-save leaves the previous
-// state intact — the same discipline the checkpoint manifest uses.
-func SaveState(dir string, c StateCarrier) error {
-	return SaveSections(dir, Sections{SectionPlanner: c})
-}
-
-// LoadState restores c from dir/planner-state.json. ok is false (with
-// no error) when no state was ever saved — a genuinely cold start.
-func LoadState(dir string, c StateCarrier) (bool, error) {
-	found, err := LoadSections(dir, Sections{SectionPlanner: c})
-	return found[SectionPlanner], err
-}
-
 // Section names of the planner-state file.
 const (
 	// SectionPlanner is the autoconfig.Planner cache snapshot.
@@ -55,7 +41,9 @@ type Sections map[string]StateCarrier
 //
 //	{"planner": {…}, "meter": {…}}
 //
-// The write discipline matches SaveState (temp file + rename).
+// The write is atomic (temp file + rename), so a crash mid-save leaves
+// the previous state intact — the same discipline the checkpoint
+// manifest uses.
 // Sections are emitted in sorted-name order so the file is
 // byte-deterministic for identical state.
 func SaveSections(dir string, sections Sections) error {

@@ -92,7 +92,7 @@ func TestLoadSectionsLegacyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Write the pre-sectioned format: the planner snapshot at top
-	// level, exactly what old SaveState produced.
+	// level, exactly what the pre-sectioned writer produced.
 	data, err := pl.ExportState()
 	if err != nil {
 		t.Fatal(err)

@@ -246,7 +246,7 @@ func plannerFor(t *testing.T) (autoconfig.Inputs, *autoconfig.Planner) {
 }
 
 // TestPlannerStateRoundTrip is the kill-and-restart acceptance test: a
-// planner warmed by real sweeps is persisted with SaveState, a fresh
+// planner warmed by real sweeps is persisted with SaveSections, a fresh
 // planner (the "restarted manager") loads it, and replaying the same
 // decisions performs zero cost-cache recomputations while returning
 // bit-identical choices.
@@ -264,17 +264,17 @@ func TestPlannerStateRoundTrip(t *testing.T) {
 		t.Fatal("2 GPUs must be infeasible")
 	}
 	dir := t.TempDir()
-	if err := restart.SaveState(dir, pl); err != nil {
+	if err := restart.SaveSections(dir, restart.Sections{restart.SectionPlanner: pl}); err != nil {
 		t.Fatal(err)
 	}
 
 	// The restarted manager: a cold planner for the same job.
 	fresh := autoconfig.NewPlanner(in)
-	ok, err := restart.LoadState(dir, fresh)
+	found, err := restart.LoadSections(dir, restart.Sections{restart.SectionPlanner: fresh})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if !found[restart.SectionPlanner] {
 		t.Fatal("saved state not found")
 	}
 	var got []autoconfig.Choice
@@ -308,9 +308,9 @@ func TestPlannerStateRoundTrip(t *testing.T) {
 // TestLoadStateMissing distinguishes a cold start from a corrupt one.
 func TestLoadStateMissing(t *testing.T) {
 	_, pl := plannerFor(t)
-	ok, err := restart.LoadState(t.TempDir(), pl)
-	if err != nil || ok {
-		t.Fatalf("empty dir: ok=%v err=%v, want cold start", ok, err)
+	found, err := restart.LoadSections(t.TempDir(), restart.Sections{restart.SectionPlanner: pl})
+	if err != nil || found[restart.SectionPlanner] {
+		t.Fatalf("empty dir: found=%v err=%v, want cold start", found, err)
 	}
 }
 
@@ -323,13 +323,13 @@ func TestImportStateRejectsOtherModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := restart.SaveState(dir, pl); err != nil {
+	if err := restart.SaveSections(dir, restart.Sections{restart.SectionPlanner: pl}); err != nil {
 		t.Fatal(err)
 	}
 
 	halved := in
 	halved.MTotal = in.MTotal / 2
-	if _, err := restart.LoadState(dir, autoconfig.NewPlanner(halved)); err == nil {
+	if _, err := restart.LoadSections(dir, restart.Sections{restart.SectionPlanner: autoconfig.NewPlanner(halved)}); err == nil {
 		t.Fatal("state for M_total=8192 must not import into an M_total=4096 planner")
 	}
 	data, err := os.ReadFile(filepath.Join(dir, restart.StateFile))
@@ -355,7 +355,7 @@ func TestImportStateRejectsOtherModel(t *testing.T) {
 		Spec: other, Cuts: cuts, Params: params,
 		GPUMem: 16 << 30, MTotal: 8192, GPUsPerNode: 1,
 	})
-	if _, err := restart.LoadState(dir, fresh); err == nil {
+	if _, err := restart.LoadSections(dir, restart.Sections{restart.SectionPlanner: fresh}); err == nil {
 		t.Fatal("state for 2.5B must not import into an 8.3B planner")
 	}
 }

@@ -14,6 +14,7 @@ package testbed
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/compute"
 	"repro/internal/hw"
@@ -286,7 +287,7 @@ func (tb *Testbed) measure(cfg JobConfig, runOne func(sim.Config) (sim.Result, e
 			extra = f
 		}
 		for i := range speeds {
-			s := (1 + absOf(tb.rng.NormFloat64())*tb.HeteroCV) * extra
+			s := (1 + math.Abs(tb.rng.NormFloat64())*tb.HeteroCV) * extra
 			if s > speeds[i] {
 				speeds[i] = s
 			}
@@ -326,11 +327,4 @@ func (tb *Testbed) measure(cfg JobConfig, runOne func(sim.Config) (sim.Result, e
 	meas.MiniBatchTime = simtime.Duration(total)
 	meas.Examples = cfg.M * cfg.Nm * cfg.D
 	return meas, nil
-}
-
-func absOf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
