@@ -19,7 +19,6 @@
 //	varuna-sim run restart-cost -state ./state       # persist planner+meter
 //	varuna-sim run multi-job -trace trace.json       # + Chrome trace export
 //	varuna-sim run elastic -html report.html         # + HTML report with sparklines
-//	varuna-sim trace multi-job                       # trace-first shorthand
 //	varuna-sim metrics elastic -o out/               # OpenMetrics + series CSV export
 package main
 
@@ -299,56 +298,11 @@ func writeTrace(tr *obs.Tracer, met *obs.Metrics, path string) error {
 	return nil
 }
 
-// traceScenario implements `varuna-sim trace <scenario>`: run the
-// scenario with tracing on and export the Chrome trace, defaulting the
-// output path to <scenario>.trace.json. Shorthand for
-// `run <scenario> -trace <scenario>.trace.json` minus the report JSON.
-func traceScenario(args []string) int {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	out := fs.String("o", "", "trace output path (default <scenario>.trace.json)")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: varuna-sim trace <scenario.yaml | committed name> [-o path]\ncommitted scenarios:\n")
-		listScenarios()
-		fs.PrintDefaults()
-	}
-	name := parseScenarioArgs(fs, args)
-
-	sc, err := loadScenario(name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "varuna-sim trace:", err)
-		return 1
-	}
-	path := *out
-	if path == "" {
-		path = sc.Name + ".trace.json"
-	}
-
-	fmt.Printf("scenario %s: %s\n", sc.Name, sc.Description)
-	tr := obs.NewTracer()
-	met := obs.NewMetrics()
-	res, err := observedRun(sc, "", tr, met, false)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "varuna-sim trace:", err)
-		return 1
-	}
-	fmt.Print(res.summary)
-	if err := writeTrace(tr, met, path); err != nil {
-		fmt.Fprintln(os.Stderr, "varuna-sim trace:", err)
-		return 1
-	}
-	if len(res.violations) > 0 {
-		return 1
-	}
-	return 0
-}
-
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "run":
 			os.Exit(runScenario(os.Args[2:]))
-		case "trace":
-			os.Exit(traceScenario(os.Args[2:]))
 		case "metrics":
 			os.Exit(metricsScenario(os.Args[2:]))
 		}
@@ -359,6 +313,10 @@ func main() {
 	vmSize := flag.Int("vm", 1, "GPUs per spot VM (1 or 4)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "varuna-sim: unknown command %q (want run, metrics or flags only)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	spec, ok := model.ByName(*modelName)
 	if !ok {

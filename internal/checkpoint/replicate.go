@@ -8,10 +8,10 @@ import (
 )
 
 // ErrShardUnavailable reports that a checkpoint shard is missing from
-// a store — a replica never received it or its domain is gone. It is
-// distinct from a corrupt-store error (truncated or unreadable blob):
-// failover retries other replicas on a missing shard but must surface
-// corruption to the caller.
+// a store — it was never flushed or its domain is gone. It is distinct
+// from a corrupt-store error (truncated or unreadable blob): a missing
+// shard leaves the caller free to resume elsewhere, while corruption
+// must be surfaced.
 type ErrShardUnavailable struct {
 	Step, Layer int
 }
@@ -27,9 +27,11 @@ func IsShardUnavailable(err error) bool {
 	return errors.As(err, &e)
 }
 
-// Policy is a checkpoint replication policy: each shard is written to
-// Replicas stores placed in distinct failure domains at the Spread
-// level. The zero value disables replication (one copy, as before).
+// Policy is a checkpoint replication policy: each shard has Replicas
+// copies in distinct failure domains at the Spread level.
+// restart.Model prices the extra pushes and the failover fetch, and
+// the manager settles domain outages against it. The zero value
+// disables replication (one copy, as before).
 type Policy struct {
 	// Replicas is the copy count per shard; <= 1 means no replication.
 	Replicas int
@@ -40,108 +42,3 @@ type Policy struct {
 
 // Enabled reports whether the policy adds redundancy.
 func (p Policy) Enabled() bool { return p.Replicas > 1 }
-
-// Place assigns replica domains for n shards over the given domain
-// ids with ring anti-affinity: shard i's replicas land on
-// domains[(i+j) % len(domains)] for j < Replicas, so consecutive
-// shards rotate their primary domain and no shard keeps two copies in
-// one domain (unless Replicas exceeds the domain count, in which case
-// placements dedup to every domain).
-func (p Policy) Place(n int, domains []int) [][]int {
-	if n <= 0 || len(domains) == 0 {
-		return nil
-	}
-	k := p.Replicas
-	if k < 1 {
-		k = 1
-	}
-	if k > len(domains) {
-		k = len(domains)
-	}
-	out := make([][]int, n)
-	for i := 0; i < n; i++ {
-		repl := make([]int, k)
-		for j := 0; j < k; j++ {
-			repl[j] = domains[(i+j)%len(domains)]
-		}
-		out[i] = repl
-	}
-	return out
-}
-
-// Replicated fans a checkpoint stream out to several stores — one per
-// replica domain — and reads back from whichever replicas survive.
-// Writes go to every store; reads fall through missing shards to the
-// next replica and only fail when all replicas are missing (or any is
-// corrupt, which is surfaced immediately).
-type Replicated struct {
-	Stores []Store
-}
-
-// NewReplicated wraps the given replica stores.
-func NewReplicated(stores ...Store) *Replicated {
-	return &Replicated{Stores: stores}
-}
-
-// PutLayer implements Store: the shard is pushed to every replica.
-func (r *Replicated) PutLayer(step int, ls LayerState) error {
-	for _, s := range r.Stores {
-		if err := s.PutLayer(step, ls); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GetLayer implements Store: replicas are tried in order; a missing
-// shard falls through to the next replica, corruption is fatal.
-func (r *Replicated) GetLayer(step, layer int) (LayerState, error) {
-	for _, s := range r.Stores {
-		ls, err := s.GetLayer(step, layer)
-		if err == nil {
-			return ls, nil
-		}
-		if !IsShardUnavailable(err) {
-			return LayerState{}, err
-		}
-	}
-	return LayerState{}, &ErrShardUnavailable{Step: step, Layer: layer}
-}
-
-// PutManifest implements Store.
-func (r *Replicated) PutManifest(m Manifest) error {
-	for _, s := range r.Stores {
-		if err := s.PutManifest(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Latest implements Store: the newest manifest across replicas wins,
-// so a replica that missed the final checkpoint round cannot roll the
-// job back behind a surviving newer copy.
-func (r *Replicated) Latest() (Manifest, bool, error) {
-	var best Manifest
-	found := false
-	for _, s := range r.Stores {
-		m, ok, err := s.Latest()
-		if err != nil {
-			return Manifest{}, false, err
-		}
-		if ok && (!found || m.Step > best.Step) {
-			best, found = m, true
-		}
-	}
-	return best, found, nil
-}
-
-// BytesWritten implements Store: total bytes across replicas, so the
-// flush-cost observable reflects the replication amplification.
-func (r *Replicated) BytesWritten() int64 {
-	var n int64
-	for _, s := range r.Stores {
-		n += s.BytesWritten()
-	}
-	return n
-}

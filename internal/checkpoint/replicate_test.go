@@ -43,8 +43,8 @@ func TestFileStoreMissingShardTyped(t *testing.T) {
 }
 
 func TestFileStoreCorruptShardIsNotUnavailable(t *testing.T) {
-	// A truncated blob must surface as a generic (corrupt) error so
-	// failover does not silently fall through to a stale replica.
+	// A truncated blob must surface as a generic (corrupt) error, not
+	// as a missing shard a caller may resume around.
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -114,127 +114,11 @@ func TestFileStoreMissingManifest(t *testing.T) {
 	}
 }
 
-func TestPolicyPlace(t *testing.T) {
-	p := Policy{Replicas: 2, Spread: hw.DomainZone}
-	if !p.Enabled() {
+func TestPolicyEnabled(t *testing.T) {
+	if !(Policy{Replicas: 2, Spread: hw.DomainZone}).Enabled() {
 		t.Fatal("k=2 policy must be enabled")
 	}
 	if (Policy{}).Enabled() || (Policy{Replicas: 1}).Enabled() {
 		t.Fatal("k<=1 policies must be disabled")
-	}
-	domains := []int{0, 1, 2, 3}
-	places := p.Place(6, domains)
-	if len(places) != 6 {
-		t.Fatalf("placements = %d, want 6", len(places))
-	}
-	for i, repl := range places {
-		if len(repl) != 2 {
-			t.Fatalf("shard %d has %d replicas", i, len(repl))
-		}
-		if repl[0] == repl[1] {
-			t.Fatalf("shard %d replicas share domain %d (anti-affinity violated)", i, repl[0])
-		}
-	}
-	// Primaries rotate so load spreads.
-	if places[0][0] == places[1][0] {
-		t.Fatal("consecutive shards must rotate primary domains")
-	}
-	// k > domain count dedups to the domain count.
-	big := Policy{Replicas: 5}.Place(1, []int{0, 1})
-	if len(big[0]) != 2 {
-		t.Fatalf("over-replicated placement = %v, want 2 distinct domains", big[0])
-	}
-	if (Policy{Replicas: 2}).Place(0, domains) != nil || (Policy{Replicas: 2}).Place(3, nil) != nil {
-		t.Fatal("degenerate placements must be nil")
-	}
-}
-
-func TestReplicatedFallback(t *testing.T) {
-	a, b := NewMemStore(), NewMemStore()
-	r := NewReplicated(a, b)
-	ls := rlayer(0, 1, 2)
-	if err := r.PutLayer(1, ls); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.PutManifest(Manifest{Step: 1, Layers: []int{0}, NumLayers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Kill replica a (zone loss): reads fall through to b.
-	r.Stores[0] = NewMemStore()
-	got, err := r.GetLayer(1, 0)
-	if err != nil || !EqualState(got, ls) {
-		t.Fatalf("fallback read = (%v, %v)", got, err)
-	}
-	step, state, err := Resume(r)
-	if err != nil || step != 1 || !EqualState(state[0], ls) {
-		t.Fatalf("Resume over replicas = (%d, %v, %v)", step, state, err)
-	}
-	// Both replicas gone: typed unavailable.
-	r.Stores[1] = NewMemStore()
-	if _, err := r.GetLayer(1, 0); !IsShardUnavailable(err) {
-		t.Fatalf("all-missing read = %v, want ErrShardUnavailable", err)
-	}
-}
-
-func TestReplicatedLatestNewestWins(t *testing.T) {
-	a, b := NewMemStore(), NewMemStore()
-	for step := 1; step <= 2; step++ {
-		if err := a.PutLayer(step, rlayer(0, float64(step))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.PutManifest(Manifest{Step: 2, Layers: []int{0}, NumLayers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PutLayer(1, rlayer(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PutManifest(Manifest{Step: 1, Layers: []int{0}, NumLayers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReplicated(a, b)
-	m, ok, err := r.Latest()
-	if err != nil || !ok || m.Step != 2 {
-		t.Fatalf("Latest across replicas = (%v, %v, %v), want step 2", m, ok, err)
-	}
-	if r.BytesWritten() != a.BytesWritten()+b.BytesWritten() {
-		t.Fatal("BytesWritten must sum replicas")
-	}
-}
-
-func TestReplicaRoundTripEquality(t *testing.T) {
-	// Satellite: replica round-trip through FileStores preserves state
-	// bit-for-bit under EqualState.
-	fa, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReplicated(fa, fb)
-	want := map[int]LayerState{
-		0: rlayer(0, 1.5, -2.25, 3.125),
-		1: rlayer(1, 0.1, 0.2),
-	}
-	for _, ls := range want {
-		if err := r.PutLayer(4, ls); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.PutManifest(Manifest{Step: 4, Layers: []int{0, 1}, NumLayers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for _, solo := range []Store{fa, fb} {
-		step, state, err := Resume(solo)
-		if err != nil || step != 4 {
-			t.Fatalf("replica resume = (%d, %v)", step, err)
-		}
-		for l, ls := range want {
-			if !EqualState(state[l], ls) {
-				t.Fatalf("replica layer %d state differs", l)
-			}
-		}
 	}
 }

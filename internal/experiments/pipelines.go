@@ -65,7 +65,9 @@ func Fig7Gantt(x *Ctx) (*Table, error) {
 	// stage looks identical in steady state) for a readable chart.
 	short := c
 	short.Nm = 12
-	ms, err := job.Measure(short)
+	cfg := jobCfg(job, short, nil)
+	cfg.CollectTrace = true
+	ms, err := job.Testbed().MeasureMiniBatch(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func runOne(e Entry, x *Ctx) Report {
 	return r
 }
 
-// RunOptions controls RunEntries execution.
+// RunOptions controls RunEntriesWith execution.
 type RunOptions struct {
 	// Workers is the number of experiments run concurrently (values
 	// below 1 mean 1).
@@ -55,22 +55,17 @@ type RunOptions struct {
 	Isolated bool
 }
 
-// RunEntries executes the given experiments and returns their reports
-// in entry order. onDone, when non-nil, receives each report in entry
-// order as soon as it and all its predecessors have finished, so a
-// serial run streams results as they complete. The sink is always
+// RunEntriesWith executes the given experiments and returns their
+// reports in entry order. onDone, when non-nil, receives each report in
+// entry order as soon as it and all its predecessors have finished, so
+// a serial run streams results as they complete. The sink is always
 // invoked outside the runner's internal lock: a slow consumer delays
 // the stream, never the experiments.
 //
-// workers <= 1 runs serially with one shared Ctx: calibrated jobs are
-// reused across experiments. workers > 1 runs up to that many
-// experiments concurrently, each with its own isolated Ctx (see
+// One worker runs serially with one shared Ctx, so calibrated jobs are
+// reused across experiments, unless opts.Isolated. More workers run up
+// to that many experiments concurrently, each with its own Ctx (see
 // RunOptions.Isolated for the determinism trade).
-func RunEntries(entries []Entry, workers int, onDone func(Report)) []Report {
-	return RunEntriesWith(entries, RunOptions{Workers: workers, Isolated: workers > 1}, onDone)
-}
-
-// RunEntriesWith is RunEntries with explicit isolation control.
 func RunEntriesWith(entries []Entry, opts RunOptions, onDone func(Report)) []Report {
 	reports := make([]Report, len(entries))
 	if onDone == nil {

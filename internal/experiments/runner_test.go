@@ -25,7 +25,7 @@ func lightEntries(t *testing.T) []Entry {
 func TestRunEntriesSerialStreamsInOrder(t *testing.T) {
 	entries := lightEntries(t)
 	var order []string
-	reports := RunEntries(entries, 1, func(r Report) { order = append(order, r.ID) })
+	reports := RunEntriesWith(entries, RunOptions{Workers: 1}, func(r Report) { order = append(order, r.ID) })
 	if len(reports) != len(entries) {
 		t.Fatalf("%d reports for %d entries", len(reports), len(entries))
 	}
@@ -44,9 +44,9 @@ func TestRunEntriesSerialStreamsInOrder(t *testing.T) {
 
 func TestRunEntriesParallelMatchesSerial(t *testing.T) {
 	entries := lightEntries(t)
-	serial := RunEntries(entries, 1, nil)
+	serial := RunEntriesWith(entries, RunOptions{Workers: 1}, nil)
 	var order []string
-	parallel := RunEntries(entries, 4, func(r Report) { order = append(order, r.ID) })
+	parallel := RunEntriesWith(entries, RunOptions{Workers: 4}, func(r Report) { order = append(order, r.ID) })
 	for i := range entries {
 		if order[i] != entries[i].ID {
 			t.Fatalf("parallel onDone order %v, want registry order", order)
@@ -96,7 +96,7 @@ func TestRunEntriesSlowSinkDoesNotSerialize(t *testing.T) {
 		sinkSpans = append(sinkSpans, [2]time.Time{start, time.Now()})
 		mu.Unlock()
 	}
-	reports := RunEntries(entries, 2, slowSink)
+	reports := RunEntriesWith(entries, RunOptions{Workers: 2}, slowSink)
 	for _, r := range reports {
 		if !r.OK {
 			t.Fatalf("%s failed: %s", r.ID, r.Error)
@@ -139,7 +139,7 @@ func TestRunEntriesWithIsolation(t *testing.T) {
 			},
 		})
 	}
-	RunEntries(entries, 1, nil)
+	RunEntriesWith(entries, RunOptions{Workers: 1}, nil)
 	if len(seen) != 1 {
 		t.Fatalf("serial shared mode used %d contexts, want 1", len(seen))
 	}
@@ -161,7 +161,7 @@ func TestRunEntriesReportsErrors(t *testing.T) {
 		Paper: "none",
 		Run:   func(*Ctx) (*Table, error) { return nil, fmt.Errorf("kaput") },
 	}}
-	reports := RunEntries(entries, 2, nil)
+	reports := RunEntriesWith(entries, RunOptions{Workers: 2}, nil)
 	if reports[0].OK || reports[0].Error != "kaput" {
 		t.Fatalf("error not reported: %+v", reports[0])
 	}

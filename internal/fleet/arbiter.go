@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/autoconfig"
+	"repro/internal/hw"
 	"repro/internal/manager"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -62,6 +63,7 @@ type arbiter struct {
 	probe  simtime.Duration
 	hz     simtime.Time
 	opts   Options
+	zones  hw.Topology // the pool's zone striping (Options.Zones)
 	onTick simtime.Handle
 
 	jobs    []*jobState
@@ -103,6 +105,7 @@ func newArbiter(mk *spot.Market, jobs []*Job, opts Options) *arbiter {
 		probe:     opts.Probe,
 		hz:        simtime.Time(opts.Horizon),
 		opts:      opts,
+		zones:     hw.Topology{Zones: opts.Zones},
 		victimRng: simtime.NewRand(opts.VictimSeed),
 		audit:     newAudit(len(jobs)),
 	}
@@ -333,7 +336,10 @@ func (a *arbiter) zoneOutage(t simtime.Time, zone int) {
 		ospan = a.tr.Instant(a.trkMkt, a.curTick, t, "market", "outage")
 		a.tr.SetArgs(ospan, obs.I64("zone", int64(zone)))
 	}
-	for _, vm := range a.pool.LiveInDomain(a.opts.Zones, zone) {
+	for _, vm := range a.pool.LiveIDs() {
+		if a.zones.DomainOfVM(vm, hw.DomainZone) != zone {
+			continue
+		}
 		a.pool.Kill(vm)
 		var cause obs.SpanID
 		if a.tr.Enabled() {
@@ -448,8 +454,8 @@ func (a *arbiter) leaseTo(t simtime.Time, j *jobState, vm, gpus int, parent obs.
 		a.tr.SetArgs(ls,
 			obs.I64("vm", int64(vm)), obs.I64("gpus", int64(gpus)),
 			obs.Str("job", j.cfg.Name))
-		if a.opts.Zones > 1 {
-			a.tr.SetArgs(ls, obs.I64("zone", int64(vm%a.opts.Zones)))
+		if a.zones.Defined() {
+			a.tr.SetArgs(ls, obs.I64("zone", int64(a.zones.DomainOfVM(vm, hw.DomainZone))))
 		}
 		ev.Cause = int64(ls)
 	}

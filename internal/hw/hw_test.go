@@ -139,15 +139,21 @@ func TestDomainMappings(t *testing.T) {
 			t.Fatalf("vm %d rack mapping inconsistent with zone", id)
 		}
 	}
-	if n := topo.NumDomains(DomainZone); n != 4 {
-		t.Fatalf("NumDomains(zone) = %d", n)
+	// Regions group consecutive zones; without ZonesPerRegion every
+	// zone shares region 0.
+	regions := topo
+	regions.ZonesPerRegion = 2
+	for id := 0; id < 32; id++ {
+		if got, want := regions.DomainOfVM(id, DomainRegion), (id%4)/2; got != want {
+			t.Fatalf("vm %d region = %d, want %d", id, got, want)
+		}
+		if got := topo.DomainOfVM(id, DomainRegion); got != 0 {
+			t.Fatalf("vm %d region = %d with ZonesPerRegion unset, want 0", id, got)
+		}
 	}
-	if n := topo.NumDomains(DomainRack); n != 8 {
-		t.Fatalf("NumDomains(rack) = %d", n)
-	}
-	// Undefined topologies report no domains and map everything to 0.
+	// Undefined topologies map everything to 0.
 	var flat Topology
-	if flat.Defined() || flat.NumDomains(DomainZone) != 0 || flat.DomainOfVM(7, DomainZone) != 0 {
+	if flat.Defined() || flat.DomainOfVM(7, DomainZone) != 0 {
 		t.Fatal("flat topology must be inert")
 	}
 }

@@ -112,10 +112,13 @@ func (t Topology) domainOfNode(node int, level DomainLevel) int {
 	return zone / zpr
 }
 
-// DomainOfVM maps a market VM id to its domain at the given level.
-// VM ids are spread round-robin across zones so that the zone mix of
-// a leased pool stays stationary as VMs churn: vm id % Zones is the
-// zone, and racks subdivide each zone the same way.
+// DomainOfVM maps a market VM id to its domain at the given level. It
+// is the one VM-to-domain mapping: the scenario compiler's outage
+// victims, the fleet arbiter's zone outages and the manager's
+// checkpoint settlement all ask it. VM ids are spread round-robin
+// across zones so that the zone mix of a leased pool stays stationary
+// as VMs churn: vm id % Zones is the zone, racks subdivide each zone
+// the same way, and regions group ZonesPerRegion consecutive zones.
 func (t Topology) DomainOfVM(id int, level DomainLevel) int {
 	if !t.Defined() || id < 0 {
 		return 0
@@ -137,32 +140,6 @@ func (t Topology) DomainOfVM(id int, level DomainLevel) int {
 			zpr = t.Zones
 		}
 		return (id % t.Zones) / zpr
-	}
-}
-
-// NumDomains reports how many distinct domains exist at a level for
-// VM-id mapping purposes (0 for undefined topologies).
-func (t Topology) NumDomains(level DomainLevel) int {
-	if !t.Defined() {
-		return 0
-	}
-	switch level {
-	case DomainRack:
-		rpz := t.RacksPerZone
-		if rpz <= 0 {
-			rpz = 1
-		}
-		return t.Zones * rpz
-	case DomainZone:
-		return t.Zones
-	case DomainRegion:
-		zpr := t.ZonesPerRegion
-		if zpr <= 0 {
-			zpr = t.Zones
-		}
-		return (t.Zones + zpr - 1) / zpr
-	default:
-		return 0
 	}
 }
 

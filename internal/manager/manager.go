@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/autoconfig"
 	"repro/internal/checkpoint"
-	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/price"
 	"repro/internal/restart"
@@ -477,13 +476,13 @@ type timelineRun struct {
 	obj        autoconfig.Objective
 	lastSlowFP string
 	// outs is the sorted domain-outage schedule; outIdx the next entry
-	// to settle. ckptDoms records which failure domains held shards of
-	// the last durable checkpoint (nil until one exists, and again
-	// after an unrecoverable loss); only maintained on topology-defined
-	// clusters.
-	outs     []DomainOutage
-	outIdx   int
-	ckptDoms map[hw.DomainLevel]map[int]bool
+	// to settle. ckptVMs holds the ids of the VMs that held the last
+	// durable checkpoint, less those a failover lost (nil until one
+	// exists, and again after an unrecoverable loss); only maintained
+	// on topology-defined clusters.
+	outs    []DomainOutage
+	outIdx  int
+	ckptVMs []int
 
 	// tr/trk/met mirror Options.Obs (nil-safe).
 	// segSpan is the open training-segment span; cause is the latest
@@ -904,7 +903,6 @@ func (r *timelineRun) remeasure(event string) bool {
 		D:         choice.D,
 		ExtraSlow: slow,
 		NetSlow:   r.netSlow,
-		NoTrace:   true,
 	})
 	if err != nil {
 		r.running = false
@@ -1121,7 +1119,7 @@ func (r *timelineRun) morph(label string, forced bool) {
 		// constant's bundled overhead always included): the new segment
 		// resumes from this mini-batch boundary, not the old cadence.
 		r.sinceCkpt = 0
-		r.recordCheckpointDomains()
+		r.recordCheckpointVMs()
 	}
 	if r.running && choice.P == r.current.P && choice.D == r.current.D {
 		label = "p" // replacement, no config change (Figure 8)
@@ -1148,7 +1146,6 @@ func (r *timelineRun) morph(label string, forced bool) {
 			D:         choice.D,
 			ExtraSlow: slow,
 			NetSlow:   r.netSlow,
-			NoTrace:   true,
 		})
 		if err != nil {
 			r.running = false
@@ -1310,7 +1307,7 @@ func (r *timelineRun) step(int32, int32) {
 			r.stats.Downtime += stall
 			r.stats.Checkpoints++
 			r.sinceCkpt = 0
-			r.recordCheckpointDomains()
+			r.recordCheckpointVMs()
 			r.emit(r.segSpan, TimelinePoint{
 				At: r.now, GPUs: r.usableGPUs(), Config: r.current,
 				ExPerSec:     float64(r.current.Examples) / r.mbTime.Seconds(),

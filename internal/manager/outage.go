@@ -22,40 +22,54 @@ type DomainOutage struct {
 	Domain int
 }
 
-// recordCheckpointDomains snapshots which failure domains hold the
-// checkpoint just written: the live VMs' domains at each tracked
-// level. With replication on, Policy.Place spreads every shard over
-// min(Replicas, |domains|) of these; with it off, each shard lives
-// only in its writer's domain. No-op on flat clusters.
-func (r *timelineRun) recordCheckpointDomains() {
-	topo := r.mg.RM.Cluster.Topo
-	if !topo.Defined() {
+// recordCheckpointVMs snapshots the ids of the live VMs that hold the
+// checkpoint just written; settlement maps them to domains at any
+// level through hw.Topology.DomainOfVM. No-op on flat clusters.
+func (r *timelineRun) recordCheckpointVMs() {
+	if !r.mg.RM.Cluster.Topo.Defined() {
 		return
 	}
-	doms := map[hw.DomainLevel]map[int]bool{
-		hw.DomainRack:   make(map[int]bool),
-		hw.DomainZone:   make(map[int]bool),
-		hw.DomainRegion: make(map[int]bool),
-	}
+	r.ckptVMs = r.ckptVMs[:0]
 	for id := range r.live {
-		doms[hw.DomainRack][topo.DomainOfVM(id, hw.DomainRack)] = true
-		doms[hw.DomainZone][topo.DomainOfVM(id, hw.DomainZone)] = true
-		doms[hw.DomainRegion][topo.DomainOfVM(id, hw.DomainRegion)] = true
+		r.ckptVMs = append(r.ckptVMs, id)
 	}
-	r.ckptDoms = doms
+}
+
+// ckptIn reports whether some VM of the last checkpoint lies in domain
+// dom at level.
+func (r *timelineRun) ckptIn(level hw.DomainLevel, dom int) bool {
+	topo := r.mg.RM.Cluster.Topo
+	for _, id := range r.ckptVMs {
+		if topo.DomainOfVM(id, level) == dom {
+			return true
+		}
+	}
+	return false
+}
+
+// ckptSpread reports whether the VMs of the last checkpoint span at
+// least two domains at level.
+func (r *timelineRun) ckptSpread(level hw.DomainLevel) bool {
+	topo := r.mg.RM.Cluster.Topo
+	for _, id := range r.ckptVMs {
+		if topo.DomainOfVM(id, level) != topo.DomainOfVM(r.ckptVMs[0], level) {
+			return true
+		}
+	}
+	return false
 }
 
 // applyOutagesDue settles the checkpoint-survivability of every domain
 // outage due by now. Three outcomes:
 //
-//   - vacuous: no checkpoint exists (ckptDoms == nil) or the lost
-//     domain held no shards — the preemption rollback already
+//   - vacuous: no checkpoint exists (ckptVMs is nil) or none of its
+//     VMs lies in the lost domain — the preemption rollback already
 //     accounted every loss there is.
-//   - failover: the replication policy spread shards at or above the
-//     outage level across ≥ 2 domains, so every shard survives in
-//     some other domain. The job pays the restart-model-priced
-//     cross-domain fetch (restart.Model.Failover) as downtime and
-//     keeps its progress.
+//   - failover: replication spreads every shard over distinct domains
+//     at a level at or above the outage's, and the checkpoint's VMs
+//     span ≥ 2 of them, so every shard survives in some other domain.
+//     The job pays the restart-model-priced cross-domain fetch
+//     (restart.Model.Failover) as downtime and keeps its progress.
 //   - unrecoverable: shards lived only in the lost domain. All
 //     progress is discarded — the quantified cost of running without
 //     replication that the zone-failover drill reports.
@@ -71,13 +85,11 @@ func (r *timelineRun) applyOutagesDue() {
 				obs.I64("domain", int64(o.Domain)))
 			r.cause = ospan
 		}
-		doms := r.ckptDoms[o.Level]
-		if r.ckptDoms == nil || !doms[o.Domain] {
+		if !r.ckptIn(o.Level, o.Domain) {
 			continue // vacuous: nothing durable was in the lost domain
 		}
 		p := r.mg.Opts.Replication
-		spreadDoms := r.ckptDoms[p.Spread]
-		if p.Enabled() && p.Spread >= o.Level && len(spreadDoms) >= 2 {
+		if p.Enabled() && p.Spread >= o.Level && r.ckptSpread(p.Spread) {
 			r.failover(o, ospan)
 			continue
 		}
@@ -87,7 +99,7 @@ func (r *timelineRun) applyOutagesDue() {
 		r.stats.Examples = 0
 		r.stats.MiniBatches = 0
 		r.stats.UnrecoverableOutages++
-		r.ckptDoms = nil
+		r.ckptVMs = nil
 		if r.tr.Enabled() {
 			id := r.tr.Instant(r.trk, ospan, r.now, "manager", "outage-loss")
 			r.tr.SetArgs(id, obs.I64("lost_minibatches", int64(r.stats.LostMiniBatches)))
@@ -100,41 +112,19 @@ func (r *timelineRun) applyOutagesDue() {
 }
 
 // failover restarts the job from the surviving replicated shards: the
-// lost domain's copies are struck from the placement record and the
+// lost domain's VMs leave the checkpoint record, so its racks, zones
+// and region stop counting as holders at every level, and the
 // cross-domain full-state fetch is charged as downtime at the restart
 // model's price.
 func (r *timelineRun) failover(o DomainOutage, ospan obs.SpanID) {
-	delete(r.ckptDoms[o.Level], o.Domain)
 	topo := r.mg.RM.Cluster.Topo
-	switch o.Level {
-	case hw.DomainZone:
-		// Zone loss takes its racks too (rack ids refine zone ids:
-		// rack % zones == zone under the round-robin VM mapping).
-		for rack := range r.ckptDoms[hw.DomainRack] {
-			if topo.Zones > 0 && rack%topo.Zones == o.Domain {
-				delete(r.ckptDoms[hw.DomainRack], rack)
-			}
-		}
-	case hw.DomainRegion:
-		// Region loss cascades through its zones (zone / zones-per-
-		// region == region) and their racks.
-		zpr := topo.ZonesPerRegion
-		if zpr <= 0 {
-			zpr = topo.Zones
-		}
-		if zpr > 0 {
-			for zone := range r.ckptDoms[hw.DomainZone] {
-				if zone/zpr == o.Domain {
-					delete(r.ckptDoms[hw.DomainZone], zone)
-				}
-			}
-			for rack := range r.ckptDoms[hw.DomainRack] {
-				if topo.Zones > 0 && (rack%topo.Zones)/zpr == o.Domain {
-					delete(r.ckptDoms[hw.DomainRack], rack)
-				}
-			}
+	kept := r.ckptVMs[:0]
+	for _, id := range r.ckptVMs {
+		if topo.DomainOfVM(id, o.Level) != o.Domain {
+			kept = append(kept, id)
 		}
 	}
+	r.ckptVMs = kept
 	r.stats.Failovers++
 	var down simtime.Duration
 	if r.running {

@@ -17,8 +17,15 @@ import (
 // managerZoned builds a manager on a 4-zone topology cluster.
 func managerZoned(t *testing.T, repl checkpoint.Policy) *Manager {
 	t.Helper()
+	return managerOn(t, hw.SpotTopology(4, 2, 5), repl)
+}
+
+// managerOn builds a manager on an 80-GPU cluster with the given
+// topology.
+func managerOn(t *testing.T, topo hw.Topology, repl checkpoint.Policy) *Manager {
+	t.Helper()
 	cluster := hw.SpotCluster(hw.NC6v3, 80)
-	cluster.Topo = hw.SpotTopology(4, 2, 5)
+	cluster.Topo = topo
 	tb := testbed.New(cluster, 31)
 	spec := model.GPT2XL2B()
 	params, err := calibrate.Run(spec, tb, calibrate.Options{
@@ -158,5 +165,48 @@ func TestOutageTimelineDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p1, p2) {
 		t.Fatal("timelines diverged")
+	}
+}
+
+// TestOutageAfterFailoverSettlesOnSurvivors pins settlement over the
+// checkpoint's surviving VMs. Four zones in two regions, no VM in zone
+// 3: a zone-2 failover leaves region 1 without checkpoint state, so a
+// region-1 outage at the same instant is vacuous at either spread. A
+// record that still counts region 1 as a holder after the zone
+// failover settles it as a second failover (region spread) or as an
+// unrecoverable loss (zone spread).
+func TestOutageAfterFailoverSettlesOnSurvivors(t *testing.T) {
+	topo := hw.SpotTopology(4, 2, 5)
+	topo.ZonesPerRegion = 2
+	at := simtime.Time(4 * simtime.Hour)
+	var events []spot.Event
+	for id := 0; id < 64; id++ {
+		if id%4 != 3 {
+			events = append(events, spot.Event{At: 0, Kind: spot.Alloc, VM: id, GPUs: 1})
+		}
+	}
+	for id := 2; id < 64; id += 4 {
+		events = append(events, spot.Event{At: at, Kind: spot.Preempt, VM: id, GPUs: 1})
+	}
+	for _, spread := range []hw.DomainLevel{hw.DomainZone, hw.DomainRegion} {
+		t.Run(spread.String(), func(t *testing.T) {
+			mg := managerOn(t, topo, checkpoint.Policy{Replicas: 2, Spread: spread})
+			mg.Outages = []DomainOutage{
+				{At: at, Level: hw.DomainZone, Domain: 2},
+				{At: at, Level: hw.DomainRegion, Domain: 1},
+			}
+			points, stats, err := mg.RunTimeline(events, 8*simtime.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Failovers != 1 || stats.UnrecoverableOutages != 0 {
+				t.Fatalf("failovers=%d unrecoverable=%d, want 1/0", stats.Failovers, stats.UnrecoverableOutages)
+			}
+			for _, p := range points {
+				if p.Event == "outage-loss" {
+					t.Fatalf("outage-loss at %v: region 1 held no checkpoint state after the zone-2 failover", p.At)
+				}
+			}
+		})
 	}
 }

@@ -115,20 +115,6 @@ func (t *Tracer) Track(name string) TrackID {
 	return TrackID(len(t.tracks))
 }
 
-// TrackName reports the registered name of a track ("" for the
-// default track or a nil tracer).
-func (t *Tracer) TrackName(id TrackID) string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id < 1 || int(id) > len(t.tracks) {
-		return ""
-	}
-	return t.tracks[id-1]
-}
-
 // Begin opens a span at the given simulated instant. End closes it;
 // until then the span's End is its Start. Returns 0 on a nil tracer.
 func (t *Tracer) Begin(track TrackID, parent SpanID, at simtime.Time, cat, name string) SpanID {

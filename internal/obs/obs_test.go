@@ -16,12 +16,6 @@ func TestTrackRegistration(t *testing.T) {
 	if again := tr.Track("market"); again != mkt {
 		t.Fatalf("re-registering returned %d, want %d", again, mkt)
 	}
-	if got := tr.TrackName(arb); got != "arbiter" {
-		t.Fatalf("TrackName(%d) = %q", arb, got)
-	}
-	if got := tr.TrackName(99); got != "" {
-		t.Fatalf("unknown track named %q", got)
-	}
 	want := []string{"market", "arbiter"}
 	tracks := tr.Tracks()
 	if len(tracks) != len(want) || tracks[0] != want[0] || tracks[1] != want[1] {
@@ -118,9 +112,6 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 	if _, ok := tr.Find(1); ok {
 		t.Fatal("nil tracer found a span")
-	}
-	if tr.TrackName(1) != "" {
-		t.Fatal("nil tracer named a track")
 	}
 }
 

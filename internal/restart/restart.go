@@ -217,6 +217,12 @@ func (m *Model) flushTime(a Assignment) simtime.Duration {
 	if m.FlushBps <= 0 {
 		return 0
 	}
+	return simtime.FromSeconds(float64(m.worstShard(a)) / m.FlushBps)
+}
+
+// worstShard is the largest per-slot checkpoint shard of the
+// assignment — the §4.5 sharded write that bounds flush time.
+func (m *Model) worstShard(a Assignment) int64 {
 	var worst int64
 	for _, st := range a.Stages {
 		ops := stageOps(st)
@@ -232,7 +238,7 @@ func (m *Model) flushTime(a Assignment) simtime.Duration {
 			}
 		}
 	}
-	return simtime.FromSeconds(float64(worst) / m.FlushBps)
+	return worst
 }
 
 // redistributeTime prices the state movement of the old→new stage→layer

@@ -1,46 +1,15 @@
 package restart
 
 import (
-	"repro/internal/checkpoint"
 	"repro/internal/hw"
 	"repro/internal/simtime"
 )
 
-// This file prices reconfigurations on clusters with a defined failure
-// -domain topology. The flat paths in restart.go stay byte-for-byte
-// untouched: every function here is reached only when
-// m.Cluster.Topo.Defined() (and, for replication terms, when the
-// policy is enabled), so flat clusters keep their historical prices.
-
-// crossLink is the link shards cross when pushed to (or fetched from)
-// replicas spread at the policy's anti-affinity level.
-func (m *Model) crossLink(level hw.DomainLevel) hw.Link {
-	if !m.Cluster.Topo.Defined() {
-		return m.Link
-	}
-	return m.Cluster.CrossLink(level)
-}
-
-// worstShard is the largest per-slot checkpoint shard of the
-// assignment — the §4.5 sharded write that bounds flush time.
-func (m *Model) worstShard(a Assignment) int64 {
-	var worst int64
-	for _, st := range a.Stages {
-		ops := stageOps(st)
-		for r := 0; r < a.D; r++ {
-			var shard int64
-			for _, l := range checkpoint.ShardLayers(ops, a.D, r) {
-				if l < len(m.LayerBytes) {
-					shard += m.LayerBytes[l]
-				}
-			}
-			if shard > worst {
-				worst = shard
-			}
-		}
-	}
-	return worst
-}
+// This file prices reconfigurations on clusters with a defined
+// failure-domain topology. Price reaches redistributeTimeTopo only when
+// m.Cluster.Topo.Defined(), and the replication terms return zero
+// unless the topology is defined and the policy enabled, so flat
+// clusters keep their historical prices.
 
 // ReplicationOverhead prices the extra network time one checkpoint
 // round spends pushing shards to the (Replicas-1) cross-domain
@@ -56,7 +25,7 @@ func (m *Model) ReplicationOverhead(a Assignment) simtime.Duration {
 	if worst == 0 {
 		return 0
 	}
-	link := m.crossLink(m.Replication.Spread)
+	link := m.Cluster.CrossLink(m.Replication.Spread)
 	per := m.Fabric.PointToPoint(worst, link)
 	return simtime.Duration(int64(m.Replication.Replicas-1)) * per
 }
@@ -80,7 +49,7 @@ func (m *Model) Failover(new Assignment) Costs {
 		}
 	}
 	c.Stop = m.StopTime
-	c.Redistribute = m.Fabric.PointToPoint(maxFetch, m.crossLink(m.Replication.Spread))
+	c.Redistribute = m.Fabric.PointToPoint(maxFetch, m.Cluster.CrossLink(m.Replication.Spread))
 	c.Restart = m.RestartTime
 	return c
 }

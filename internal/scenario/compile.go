@@ -191,11 +191,7 @@ func buildCurve(sc *Scenario, runHorizon simtime.Duration) (*price.Curve, error)
 // capacity the provider reclaimed on top of its own churn.
 func (c *Compiled) merge(base []spot.Event, script []Event, curve *price.Curve) error {
 	sc := c.Scenario
-	var topo hw.Topology
-	if t := sc.Job.Topology; t.Defined() {
-		topo = hw.SpotTopology(t.Zones, t.RacksPerZone, t.NodesPerRack)
-		topo.ZonesPerRegion = t.ZonesPerRegion
-	}
+	topo := c.Job.Cluster.Topo
 	seed := sc.Run.VictimSeed
 	if seed == 0 {
 		if sc.Chaos != nil {

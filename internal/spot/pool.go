@@ -58,26 +58,6 @@ func (p *Pool) LiveIDs() []int {
 	return ids
 }
 
-// LiveInDomain lists the currently-held VM ids mapped to the given
-// zone under round-robin placement (id % zones), in allocation order —
-// the victim set of a zone outage. zones <= 1 means a flat pool, where
-// zone 0 is everything.
-func (p *Pool) LiveInDomain(zones, zone int) []int {
-	if zones <= 1 {
-		if zone == 0 {
-			return p.LiveIDs()
-		}
-		return nil
-	}
-	var ids []int
-	for _, id := range p.order {
-		if p.live[id] && id%zones == zone {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 // Tick advances the pool by one probe interval ending at t: held VMs
 // draw against the preemption hazard in allocation order, then the
 // pool attempts to grow toward its target. It returns the fleet events

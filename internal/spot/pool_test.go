@@ -137,40 +137,3 @@ func TestPoolTargetDrivesGrowth(t *testing.T) {
 		t.Fatalf("raising the target must let the pool grow: peak held %d", peak)
 	}
 }
-
-func TestPoolLiveInDomain(t *testing.T) {
-	mk := NewMarket(1, 200, 7)
-	p := NewPool(mk, 40)
-	tick := simtime.Time(0)
-	for i := 0; i < 50; i++ {
-		tick = tick.Add(10 * simtime.Minute)
-		p.Tick(tick, 10*simtime.Minute)
-	}
-	const zones = 4
-	all := p.LiveIDs()
-	if len(all) == 0 {
-		t.Fatal("pool never grew")
-	}
-	seen := map[int]bool{}
-	for zone := 0; zone < zones; zone++ {
-		for _, id := range p.LiveInDomain(zones, zone) {
-			if id%zones != zone {
-				t.Fatalf("vm%d listed in zone %d", id, zone)
-			}
-			if seen[id] {
-				t.Fatalf("vm%d listed in two zones", id)
-			}
-			seen[id] = true
-		}
-	}
-	if len(seen) != len(all) {
-		t.Fatalf("zones partition %d of %d live VMs", len(seen), len(all))
-	}
-	// Flat pool: zone 0 is everything, other zones empty.
-	if got := p.LiveInDomain(0, 0); len(got) != len(all) {
-		t.Fatalf("flat zone 0 lists %d of %d", len(got), len(all))
-	}
-	if got := p.LiveInDomain(1, 3); got != nil {
-		t.Fatalf("flat nonzero zone must be empty, got %v", got)
-	}
-}

@@ -292,12 +292,6 @@ func (mk *Market) KindFor(name string, gpus int, exPerSec float64, gaps *GapEsti
 	}
 }
 
-// Sample is one point of an availability trace.
-type Sample struct {
-	At   simtime.Time
-	GPUs int
-}
-
 // probeLoop drives a market probe cadence through the simulated event
 // queue, keeping the market on the same clock machinery as the rest
 // of the system: body runs once per probe interval from time 0

@@ -156,14 +156,11 @@ type JobConfig struct {
 	// network-degradation injection (an oversubscribed or flapping
 	// inter-node fabric). Zero or 1 means a healthy network.
 	NetSlow float64
-	// NoTrace skips task-trace collection: Measurement.Trace stays nil
-	// and the simulator takes its allocation-free fast path. The zero
-	// value keeps the trace, so Gantt-consuming callers (Figure 7)
-	// stay correct by default; callers that only read summary metrics
-	// — MiniBatchTime, Bubble, ExPerSec — should set it (the §4.6
-	// manager measures every morph segment this way). Summary metrics
-	// are bit-identical with the trace on or off.
-	NoTrace bool
+	// CollectTrace records replica 0's task trace in
+	// Measurement.Trace, for Gantt rendering (Figure 7). The zero value
+	// skips it, as sim.Config.CollectTrace does; summary metrics —
+	// MiniBatchTime, Bubble, ExPerSec — are bit-identical either way.
+	CollectTrace bool
 }
 
 // TrueStageCosts assembles stage costs from the ground-truth models —
@@ -227,8 +224,8 @@ type Measurement struct {
 	// Examples is the number of training examples processed.
 	Examples int
 	// Trace is replica 0's task trace (for Gantt rendering, Figure 7).
-	// Nil when the measurement ran with JobConfig.NoTrace; all other
-	// fields are unaffected by the knob.
+	// Nil unless the measurement ran with JobConfig.CollectTrace; all
+	// other fields are unaffected by the flag.
 	Trace []sim.TaskSpan
 	// Bubble is replica 0's pipeline bubble fraction.
 	Bubble float64
@@ -302,7 +299,7 @@ func (tb *Testbed) measure(cfg JobConfig, runOne func(sim.Config) (sim.Result, e
 		ComputeJitterCV: 0.02, // GPU kernels are far steadier than the network
 		Rand:            tb.rng,
 		SpeedFactor:     speeds,
-		CollectTrace:    !cfg.NoTrace, // Measurement.Trace feeds Gantt rendering
+		CollectTrace:    cfg.CollectTrace,
 	}
 	var res sim.Result
 	var err error
