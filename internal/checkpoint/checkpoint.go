@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -72,8 +71,12 @@ func (m Manifest) BytesFor(layer int) int64 {
 	return 0
 }
 
-// Store is a checkpoint destination. Implementations must be usable
-// from multiple shards writing disjoint layers.
+// Store is a checkpoint destination: what engine.Save writes and
+// engine.Resume reads. MemStore keeps checkpoints in memory (the
+// training experiments, varuna-train, the convergence example);
+// FileStore writes them to disk (varuna-ckpt) and alone counts the
+// bytes it persisted. Implementations must be usable from multiple
+// shards writing disjoint layers.
 type Store interface {
 	// PutLayer persists one layer's state for the given step.
 	PutLayer(step int, ls LayerState) error
@@ -83,9 +86,6 @@ type Store interface {
 	PutManifest(m Manifest) error
 	// Latest returns the newest complete manifest, or ok=false.
 	Latest() (Manifest, bool, error)
-	// BytesWritten reports the cumulative layer-state bytes persisted
-	// through this store — the observable behind flush-cost modeling.
-	BytesWritten() int64
 }
 
 // normalizeManifest validates the byte accounting and sorts the
@@ -119,12 +119,10 @@ func normalizeManifest(m Manifest) (Manifest, error) {
 	return mm, nil
 }
 
-// MemStore is an in-memory Store, used by the manager simulation and
-// tests.
+// MemStore is an in-memory Store.
 type MemStore struct {
 	layers   map[int]map[int]LayerState
 	manifest *Manifest
-	written  int64
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -138,7 +136,6 @@ func (s *MemStore) PutLayer(step int, ls LayerState) error {
 		s.layers[step] = make(map[int]LayerState)
 	}
 	s.layers[step][ls.Layer] = cloneLayer(ls)
-	s.written += ls.Bytes()
 	return nil
 }
 
@@ -174,9 +171,6 @@ func (s *MemStore) Latest() (Manifest, bool, error) {
 	return *s.manifest, true, nil
 }
 
-// BytesWritten implements Store.
-func (s *MemStore) BytesWritten() int64 { return s.written }
-
 func cloneLayer(ls LayerState) LayerState {
 	return LayerState{
 		Layer:  ls.Layer,
@@ -201,23 +195,6 @@ func ShardLayers(stageLayers []int, d, replica int) []int {
 		}
 	}
 	return out
-}
-
-// Coverage verifies that the union of shard assignments covers every
-// layer exactly once.
-func Coverage(stageLayers []int, d int) error {
-	seen := make(map[int]int)
-	for r := 0; r < d; r++ {
-		for _, l := range ShardLayers(stageLayers, d, r) {
-			seen[l]++
-		}
-	}
-	for _, l := range stageLayers {
-		if seen[l] != 1 {
-			return fmt.Errorf("checkpoint: layer %d written %d times", l, seen[l])
-		}
-	}
-	return nil
 }
 
 // FileStore persists layers as little-endian binary blobs under a
@@ -265,7 +242,8 @@ func (s *FileStore) PutLayer(step int, ls LayerState) error {
 	return nil
 }
 
-// BytesWritten implements Store.
+// BytesWritten reports the cumulative layer-state bytes this store has
+// persisted.
 func (s *FileStore) BytesWritten() int64 { return s.written }
 
 func writeLayer(f *os.File, ls LayerState) error {
@@ -364,20 +342,4 @@ func Resume(s Store) (int, map[int]LayerState, error) {
 		out[l] = ls
 	}
 	return m.Step, out, nil
-}
-
-// EqualState reports whether two layer states match exactly.
-func EqualState(a, b LayerState) bool {
-	eq := func(x, y []float64) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	return a.Layer == b.Layer && eq(a.Params, b.Params) && eq(a.M, b.M) && eq(a.V, b.V)
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,7 @@ func testStoreRoundTrip(t *testing.T, s Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EqualState(got, layer(2, 2)) {
+	if !equalState(got, layer(2, 2)) {
 		t.Fatal("layer 2 corrupted on round trip")
 	}
 	if _, err := s.GetLayer(7, 99); err == nil {
@@ -59,23 +60,14 @@ func TestLayerStateBytes(t *testing.T) {
 }
 
 // testByteAccounting pins the per-layer byte plumbing the restart cost
-// model prices from: stores count written bytes, manifests carry
-// per-layer sizes sorted with their layers.
+// model prices from: manifests carry per-layer sizes sorted with their
+// layers.
 func testByteAccounting(t *testing.T, s Store) {
 	t.Helper()
-	if s.BytesWritten() != 0 {
-		t.Fatalf("fresh store reports %d bytes written", s.BytesWritten())
-	}
-	var want int64
 	for i := 0; i < 3; i++ {
-		ls := layer(i, float64(i))
-		want += ls.Bytes()
-		if err := s.PutLayer(1, ls); err != nil {
+		if err := s.PutLayer(1, layer(i, float64(i))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := s.BytesWritten(); got != want {
-		t.Fatalf("BytesWritten = %d, want %d", got, want)
 	}
 	// Manifest byte entries must align with layers; deliberately out of
 	// order to check co-sorting.
@@ -116,12 +108,20 @@ func testByteAccounting(t *testing.T, s Store) {
 
 func TestMemStoreByteAccounting(t *testing.T) { testByteAccounting(t, NewMemStore()) }
 
+// TestFileStoreByteAccounting also pins the written-byte count
+// varuna-ckpt reports.
 func TestFileStoreByteAccounting(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fs.BytesWritten() != 0 {
+		t.Fatalf("fresh store reports %d bytes written", fs.BytesWritten())
+	}
 	testByteAccounting(t, fs)
+	if got, want := fs.BytesWritten(), 3*layer(0, 0).Bytes(); got != want {
+		t.Fatalf("BytesWritten = %d, want %d", got, want)
+	}
 }
 
 func TestFileStoreRoundTrip(t *testing.T) {
@@ -160,10 +160,27 @@ func TestMemStoreIsolation(t *testing.T) {
 	}
 }
 
+// coverage verifies that the union of ShardLayers assignments covers
+// every layer exactly once.
+func coverage(stageLayers []int, d int) error {
+	seen := make(map[int]int)
+	for r := 0; r < d; r++ {
+		for _, l := range ShardLayers(stageLayers, d, r) {
+			seen[l]++
+		}
+	}
+	for _, l := range stageLayers {
+		if seen[l] != 1 {
+			return fmt.Errorf("checkpoint: layer %d written %d times", l, seen[l])
+		}
+	}
+	return nil
+}
+
 func TestShardCoverage(t *testing.T) {
 	layers := []int{3, 4, 5, 6, 7, 8, 9}
 	for d := 1; d <= 8; d++ {
-		if err := Coverage(layers, d); err != nil {
+		if err := coverage(layers, d); err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
 	}
@@ -181,7 +198,7 @@ func TestShardCoverageProperty(t *testing.T) {
 		for i := range layers {
 			layers[i] = i * 3
 		}
-		return Coverage(layers, int(d%8)+1) == nil
+		return coverage(layers, int(d%8)+1) == nil
 	}, nil); err != nil {
 		t.Error(err)
 	}
@@ -226,7 +243,7 @@ func TestResumeAcrossDifferentDepth(t *testing.T) {
 		t.Fatalf("resume step=%d layers=%d", step, len(state))
 	}
 	for l := 0; l < numLayers; l++ {
-		if !EqualState(state[l], layer(l, float64(l)*1.5)) {
+		if !equalState(state[l], layer(l, float64(l)*1.5)) {
 			t.Fatalf("layer %d state mismatch after resume", l)
 		}
 	}
@@ -258,23 +275,40 @@ func TestFileStoreCrashSafety(t *testing.T) {
 	}
 }
 
+// equalState reports whether two layer states match exactly, NaNs
+// included.
+func equalState(a, b LayerState) bool {
+	eq := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if x[i] != y[i] && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Layer == b.Layer && eq(a.Params, b.Params) && eq(a.M, b.M) && eq(a.V, b.V)
+}
+
 func TestEqualState(t *testing.T) {
 	a := layer(1, 2)
-	if !EqualState(a, a) {
+	if !equalState(a, a) {
 		t.Fatal("self equality")
 	}
 	b := layer(1, 2)
 	b.Params[0] = 42
-	if EqualState(a, b) {
+	if equalState(a, b) {
 		t.Fatal("different params must differ")
 	}
 	c := layer(2, 2)
-	if EqualState(a, c) {
+	if equalState(a, c) {
 		t.Fatal("different layer index must differ")
 	}
 	n1 := LayerState{Layer: 0, Params: []float64{math.NaN()}}
 	n2 := LayerState{Layer: 0, Params: []float64{math.NaN()}}
-	if !EqualState(n1, n2) {
+	if !equalState(n1, n2) {
 		t.Fatal("NaN state must compare equal to itself")
 	}
 }

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/hw"
@@ -19,12 +18,6 @@ type ErrShardUnavailable struct {
 // Error implements error.
 func (e *ErrShardUnavailable) Error() string {
 	return fmt.Sprintf("checkpoint: step %d layer %d unavailable", e.Step, e.Layer)
-}
-
-// IsShardUnavailable reports whether err wraps an ErrShardUnavailable.
-func IsShardUnavailable(err error) bool {
-	var e *ErrShardUnavailable
-	return errors.As(err, &e)
 }
 
 // Policy is a checkpoint replication policy: each shard has Replicas

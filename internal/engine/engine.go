@@ -364,9 +364,6 @@ func (e *Engine) Losses(n int) []float64 {
 	return out
 }
 
-// StepCount reports completed mini-batches.
-func (e *Engine) StepCount() int { return e.step }
-
 // sliceRows views rows [lo, lo+n) of m.
 func sliceRows(m *nn.Matrix, lo, n int) *nn.Matrix {
 	return &nn.Matrix{Rows: n, Cols: m.Cols, Data: m.Data[lo*m.Cols : (lo+n)*m.Cols]}

@@ -171,8 +171,8 @@ func TestCheckpointResumeSameShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.StepCount() != 4 {
-		t.Fatalf("resumed step = %d", b.StepCount())
+	if b.step != 4 {
+		t.Fatalf("resumed step = %d", b.step)
 	}
 	if d := maxRelDiff(a.Fingerprint(), b.Fingerprint()); d != 0 {
 		t.Fatalf("resume must restore exactly, diff %.2e", d)

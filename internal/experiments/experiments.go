@@ -16,23 +16,9 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/scenario"
-	"repro/internal/schedule"
-	"repro/internal/simtime"
 	"repro/internal/testbed"
 	"repro/scenarios"
 )
-
-// jobLike is the slice of core.Job the experiments use, kept as an
-// interface so helpers stay testable.
-type jobLike interface {
-	Configure(p, d int) (autoconfig.Choice, error)
-	Measure(c autoconfig.Choice) (testbed.Measurement, error)
-	MeasureWithPolicy(c autoconfig.Choice, policy schedule.Policy) (testbed.Measurement, error)
-	Estimate(c autoconfig.Choice) (simtime.Duration, error)
-	Testbed() *testbed.Testbed
-}
-
-var _ jobLike = (*core.Job)(nil)
 
 // defaultCost is the V100 kernel model shared with the testbed.
 func defaultCost() compute.CostModel { return compute.Default() }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/autoconfig"
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/netsim"
@@ -26,7 +27,7 @@ func megatronOn(spec *model.Spec, cluster hw.Cluster, g, m, mTotal int) (float64
 }
 
 // varunaAt measures Varuna at an explicit P×D on a job's testbed.
-func varunaAt(job jobLike, p, d int) (autoconfig.Choice, float64, error) {
+func varunaAt(job *core.Job, p, d int) (autoconfig.Choice, float64, error) {
 	c, err := job.Configure(p, d)
 	if err != nil {
 		return autoconfig.Choice{}, 0, err

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/autoconfig"
+	"repro/internal/core"
 	"repro/internal/manager"
 	"repro/internal/price"
 	"repro/internal/scenario"
@@ -111,7 +111,7 @@ func SpotDollars(x *Ctx) (*Table, error) {
 // preempted far less). Per-kind hazards come from GapEstimators fed
 // each market's own 24-hour event trace — the "existing per-kind
 // hazards" seam.
-func chooseMarketNote(job jobForMarkets, curve *price.Curve, horizon simtime.Duration) (string, error) {
+func chooseMarketNote(job *core.Job, curve *price.Curve, horizon simtime.Duration) (string, error) {
 	oneGPU := spot.NewMarket(1, 120, 55)
 	oneGPU.Prices = curve
 	fourGPU := spot.NewMarket(4, 120, 57)
@@ -154,11 +154,6 @@ func chooseMarketNote(job jobForMarkets, curve *price.Curve, horizon simtime.Dur
 	}
 	fmt.Fprintf(&b, " → %s", kinds[best].Name)
 	return b.String(), nil
-}
-
-// jobForMarkets is the core.Job slice chooseMarketNote needs.
-type jobForMarkets interface {
-	BestConfig(g int) (autoconfig.Choice, error)
 }
 
 // priceStrip renders the price curve as a coarse text chart over the

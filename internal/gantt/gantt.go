@@ -4,7 +4,6 @@ package gantt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/schedule"
@@ -79,24 +78,6 @@ func OrderStrips(s *schedule.Schedule) string {
 	return b.String()
 }
 
-// CSV emits the trace as "stage,kind,micro,start_us,end_us" rows for
-// external plotting, sorted by start time.
-func CSV(trace []sim.TaskSpan) string {
-	sorted := append([]sim.TaskSpan(nil), trace...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Start != sorted[j].Start {
-			return sorted[i].Start < sorted[j].Start
-		}
-		return sorted[i].Stage < sorted[j].Stage
-	})
-	var b strings.Builder
-	b.WriteString("stage,kind,micro,start_us,end_us\n")
-	for _, s := range sorted {
-		fmt.Fprintf(&b, "%d,%s,%d,%d,%d\n", s.Stage, s.Task.Kind, s.Task.Micro+1, int64(s.Start), int64(s.End))
-	}
-	return b.String()
-}
-
 // Seg is one labeled interval of a wall-clock timeline strip.
 type Seg struct {
 	Start, End simtime.Time
@@ -135,24 +116,4 @@ func Strip(segs []Seg, end simtime.Time, width int) string {
 		}
 	}
 	return string(row)
-}
-
-// Utilization summarizes per-stage busy fractions of a trace.
-func Utilization(trace []sim.TaskSpan, depth int) []float64 {
-	busy := make([]simtime.Duration, depth)
-	var end simtime.Time
-	for _, s := range trace {
-		busy[s.Stage] += s.End.Sub(s.Start)
-		if s.End > end {
-			end = s.End
-		}
-	}
-	out := make([]float64, depth)
-	if end == 0 {
-		return out
-	}
-	for i, b := range busy {
-		out[i] = float64(b) / float64(end)
-	}
-	return out
 }

@@ -67,94 +67,6 @@ func TestOrderStrips(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tr, _ := trace(t)
-	out := CSV(tr)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if lines[0] != "stage,kind,micro,start_us,end_us" {
-		t.Fatal("header wrong")
-	}
-	if len(lines) != len(tr)+1 {
-		t.Fatalf("%d rows for %d spans", len(lines)-1, len(tr))
-	}
-	// Sorted by start time.
-	prev := int64(-1)
-	for _, line := range lines[1:] {
-		var stage, micro int
-		var kind string
-		var start, end int64
-		if _, err := fmtSscanf(line, &stage, &kind, &micro, &start, &end); err != nil {
-			t.Fatalf("bad row %q: %v", line, err)
-		}
-		if start < prev {
-			t.Fatal("rows not sorted by start")
-		}
-		prev = start
-		if end <= start {
-			t.Fatal("empty span in CSV")
-		}
-	}
-}
-
-// fmtSscanf parses a CSV row.
-func fmtSscanf(line string, stage *int, kind *string, micro *int, start, end *int64) (int, error) {
-	parts := strings.Split(line, ",")
-	if len(parts) != 5 {
-		return 0, errBad(line)
-	}
-	var err error
-	*stage, err = atoi(parts[0])
-	if err != nil {
-		return 0, err
-	}
-	*kind = parts[1]
-	*micro, err = atoi(parts[2])
-	if err != nil {
-		return 0, err
-	}
-	s, err := atoi(parts[3])
-	if err != nil {
-		return 0, err
-	}
-	e, err := atoi(parts[4])
-	if err != nil {
-		return 0, err
-	}
-	*start, *end = int64(s), int64(e)
-	return 5, nil
-}
-
-type errBad string
-
-func (e errBad) Error() string { return "bad row: " + string(e) }
-
-func atoi(s string) (int, error) {
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, errBad(s)
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, nil
-}
-
-func TestUtilization(t *testing.T) {
-	tr, depth := trace(t)
-	u := Utilization(tr, depth)
-	if len(u) != depth {
-		t.Fatal("length")
-	}
-	for i, v := range u {
-		if v <= 0 || v > 1 {
-			t.Fatalf("stage %d utilization %v out of range", i, v)
-		}
-	}
-	if z := Utilization(nil, 2); z[0] != 0 || z[1] != 0 {
-		t.Fatal("empty trace utilization must be zero")
-	}
-}
-
 // TestStripGolden pins Strip's exact rendering: segment projection,
 // later-segment overwrite, sub-column widening, clamping of segments
 // that start before the strip, and the all-idle fallbacks.
@@ -181,63 +93,5 @@ func TestStripGolden(t *testing.T) {
 	// Narrow widths clamp to 10 columns rather than collapse.
 	if got := Strip(segs, 40, 3); len([]rune(got)) != 10 {
 		t.Fatalf("narrow strip %q", got)
-	}
-}
-
-// parseCSV inverts CSV back into spans (stage/kind/micro/start/end).
-func parseCSV(t *testing.T, s string) []sim.TaskSpan {
-	t.Helper()
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	var out []sim.TaskSpan
-	for _, line := range lines[1:] {
-		var stage, micro int
-		var kind string
-		var start, end int64
-		if _, err := fmtSscanf(line, &stage, &kind, &micro, &start, &end); err != nil {
-			t.Fatalf("bad row %q: %v", line, err)
-		}
-		var k schedule.Kind
-		switch kind {
-		case schedule.Forward.String():
-			k = schedule.Forward
-		case schedule.Backward.String():
-			k = schedule.Backward
-		case schedule.Recompute.String():
-			k = schedule.Recompute
-		default:
-			t.Fatalf("unknown kind %q in %q", kind, line)
-		}
-		out = append(out, sim.TaskSpan{
-			Stage: stage,
-			Task:  schedule.Task{Kind: k, Micro: micro - 1},
-			Start: simtime.Time(start),
-			End:   simtime.Time(end),
-		})
-	}
-	return out
-}
-
-// TestCSVRoundTrip runs a traced pipeline simulation, exports it as
-// CSV, parses that back and re-exports: the round trip must be
-// lossless (identical bytes) and the recovered spans must re-render
-// the identical Gantt chart.
-func TestCSVRoundTrip(t *testing.T) {
-	tr, depth := trace(t)
-	out := CSV(tr)
-	back := parseCSV(t, out)
-	if len(back) != len(tr) {
-		t.Fatalf("round trip lost spans: %d -> %d", len(tr), len(back))
-	}
-	if again := CSV(back); again != out {
-		t.Fatal("CSV(parse(CSV(trace))) is not byte-identical")
-	}
-	if Render(back, depth, 60) != Render(tr, depth, 60) {
-		t.Fatal("recovered spans render a different chart")
-	}
-	u1, u2 := Utilization(tr, depth), Utilization(back, depth)
-	for i := range u1 {
-		if u1[i] != u2[i] {
-			t.Fatalf("stage %d utilization drifted: %v vs %v", i, u1[i], u2[i])
-		}
 	}
 }

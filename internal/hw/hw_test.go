@@ -114,20 +114,30 @@ func TestLinkBetweenTopology(t *testing.T) {
 
 func TestDomainMappings(t *testing.T) {
 	topo := SpotTopology(4, 2, 2)
-	// Rank packing: 16 GPUs per zone (2 racks x 2 nodes x 4 GPUs).
+	// Rank packing, seen through the link LinkBetween charges: 16 GPUs
+	// per zone (2 racks x 2 nodes x 4 GPUs), two zones per region. The
+	// cross-rack link differs from Inter here so every level shows.
 	c := SpotCluster(NC24v3, 64)
 	c.Topo = topo
-	if z := c.DomainOfRank(0, DomainZone); z != 0 {
-		t.Fatalf("rank 0 zone = %d", z)
-	}
-	if z := c.DomainOfRank(16, DomainZone); z != 1 {
-		t.Fatalf("rank 16 zone = %d", z)
-	}
-	if z := c.DomainOfRank(63, DomainZone); z != 3 {
-		t.Fatalf("rank 63 zone = %d", z)
-	}
-	if c.DomainOfRank(-1, DomainZone) != -1 {
-		t.Fatal("negative rank must map to no domain")
+	c.Topo.CrossRack = IB200G
+	c.Topo.ZonesPerRegion = 2
+	for _, tc := range []struct {
+		a, b int
+		want Link
+	}{
+		{0, 3, c.VM.Intra}, // node 0
+		{0, 4, c.Inter},    // nodes 0 and 1 fill rack 0
+		{0, 8, IB200G},     // racks 0 and 1 fill zone 0
+		{16, 31, IB200G},   // zone 1
+		{48, 63, IB200G},   // zone 3
+		{0, 16, ZoneWAN},   // zones 0 and 1 form region 0
+		{32, 63, ZoneWAN},  // zones 2 and 3 form region 1
+		{0, 63, RegionWAN},
+		{-1, 0, RegionWAN}, // out of range: the outermost link
+	} {
+		if got := c.LinkBetween(tc.a, tc.b); got != tc.want {
+			t.Fatalf("LinkBetween(%d, %d) = %+v, want %+v", tc.a, tc.b, got, tc.want)
+		}
 	}
 	// VM-id mapping is round-robin so zone spread is stationary under
 	// churn, and the rack mapping refines the zone mapping.

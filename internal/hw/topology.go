@@ -187,22 +187,3 @@ func (c Cluster) CrossLink(level DomainLevel) Link {
 		return region
 	}
 }
-
-// DomainOfRank maps a GPU rank to its failure domain at the given
-// level under the cluster's static node packing.
-func (c Cluster) DomainOfRank(rank int, level DomainLevel) int {
-	if rank < 0 {
-		return -1
-	}
-	if level == DomainGPU {
-		return rank
-	}
-	node := rank / c.VM.GPUs
-	if !c.Topo.Defined() {
-		if level == DomainNode {
-			return node
-		}
-		return 0
-	}
-	return c.Topo.domainOfNode(node, level)
-}

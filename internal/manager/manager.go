@@ -368,11 +368,6 @@ type ObjectiveChange struct {
 	Objective autoconfig.Objective
 }
 
-// New builds a manager with its own Planner for in.
-func New(in autoconfig.Inputs, tb *testbed.Testbed, opts Options, seed int64) *Manager {
-	return NewWithPlanner(in, tb, autoconfig.NewPlanner(in), opts, seed)
-}
-
 // NewWithPlanner builds a manager that plans through an existing
 // Planner. Callers that keep a job-lifetime Planner (core.Job) pass it
 // here so cache state survives across timeline replays.

@@ -87,7 +87,12 @@ func managerWith(t *testing.T, opts Options, tight bool) *Manager {
 	if tight {
 		return NewWithPlanner(in, tb, autoconfig.NewPlannerCapped(in, 2, 1), opts, 77)
 	}
-	return New(in, tb, opts, 77)
+	return newManager(in, tb, opts, 77)
+}
+
+// newManager builds a manager with its own Planner for in.
+func newManager(in autoconfig.Inputs, tb *testbed.Testbed, opts Options, seed int64) *Manager {
+	return NewWithPlanner(in, tb, autoconfig.NewPlanner(in), opts, seed)
 }
 
 func TestRunTimelineMorphsWithFleet(t *testing.T) {

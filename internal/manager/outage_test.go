@@ -49,7 +49,7 @@ func managerOn(t *testing.T, topo hw.Topology, repl checkpoint.Policy) *Manager 
 	}
 	opts := DefaultOptions()
 	opts.Replication = repl
-	return New(in, tb, opts, 77)
+	return newManager(in, tb, opts, 77)
 }
 
 // zoneOutageTrace allocates n 1-GPU VMs at t=0 and kills every VM in

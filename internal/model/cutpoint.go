@@ -187,34 +187,6 @@ func Partition(s *Spec, cuts []CutPoint, p int, packHeadLast bool) ([]Stage, err
 	return stages, nil
 }
 
-// SharedAcrossStages reports the parameter-sharing groups that straddle
-// a stage boundary under the given partition. These are the tensors
-// Varuna's tracer flags for cross-partition synchronization (§5.2),
-// e.g. tied embedding weights when the embedding and lm_head land in
-// different stages.
-func SharedAcrossStages(s *Spec, stages []Stage) []string {
-	groupStage := make(map[string]int)
-	split := make(map[string]bool)
-	for _, st := range stages {
-		for j := st.FirstOp; j <= st.LastOp; j++ {
-			g := s.Ops[j].SharedGroup
-			if g == "" {
-				continue
-			}
-			if prev, ok := groupStage[g]; ok && prev != st.Index {
-				split[g] = true
-			}
-			groupStage[g] = st.Index
-		}
-	}
-	var out []string
-	for g := range split {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MaxImbalance reports the ratio of the heaviest stage's forward
 // compute to the mean. 1.0 is a perfectly balanced pipeline.
 func MaxImbalance(stages []Stage) float64 {

@@ -97,40 +97,3 @@ func (mm MemoryModel) BytesNeeded(m, nm, p int) int64 {
 func (mm MemoryModel) Fits(m, nm, p int, gpuMem int64) bool {
 	return mm.BytesNeeded(m, nm, p) <= gpuMem
 }
-
-// MinPipelineDepth finds the smallest pipeline depth p (up to maxP)
-// such that every stage of a balanced partition fits in gpuMem at
-// micro-batch size m. It returns 0 if no depth fits.
-func MinPipelineDepth(s *Spec, cuts []CutPoint, m, nm int, gpuMem int64, weightCopies int) int {
-	maxP := len(cuts) + 1
-	for p := 1; p <= maxP; p++ {
-		stages, err := Partition(s, cuts, p, true)
-		if err != nil {
-			continue
-		}
-		ok := true
-		for _, st := range stages {
-			mm := MemoryModel{Spec: s, Stage: st, WeightCopies: weightCopiesFor(weightCopies, p)}
-			if !mm.Fits(m, nm, p, gpuMem) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return p
-		}
-	}
-	return 0
-}
-
-// weightCopiesFor resolves the special value -1 meaning "P copies"
-// (PipeDream's scheme) into the concrete count for depth p.
-func weightCopiesFor(wc, p int) int {
-	if wc == -1 {
-		return p
-	}
-	if wc < 1 {
-		return 1
-	}
-	return wc
-}

@@ -13,10 +13,7 @@
 // training state costs 16 bytes per parameter.
 package model
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BytesPerActivation is the activation element size (fp16).
 const BytesPerActivation = 2
@@ -42,11 +39,6 @@ type Op struct {
 	// OutBytes is the activation size per example at the boundary
 	// after this op.
 	OutBytes int64
-	// SharedGroup, when non-empty, names a parameter-sharing group:
-	// ops in the same group use the same underlying weights (e.g.
-	// tied input/output embeddings) and must be synchronized if a
-	// partition boundary separates them.
-	SharedGroup string
 }
 
 // Spec is an analytical model description.
@@ -61,8 +53,6 @@ type Spec struct {
 	SeqLen int
 	// Vocab is the vocabulary size V.
 	Vocab int
-	// TiedEmbedding marks input/output embeddings as shared weights.
-	TiedEmbedding bool
 	// Ops is the profiled operator sequence, including embedding and
 	// head ops. Built by Build.
 	Ops []Op
@@ -75,27 +65,21 @@ type Spec struct {
 // boundaries, so a correct finder must skip them.
 func Build(name string, layers, hidden, seqLen, vocab int, tied bool) *Spec {
 	s := &Spec{
-		Name:          name,
-		NumLayers:     layers,
-		Hidden:        hidden,
-		SeqLen:        seqLen,
-		Vocab:         vocab,
-		TiedEmbedding: tied,
+		Name:      name,
+		NumLayers: layers,
+		Hidden:    hidden,
+		SeqLen:    seqLen,
+		Vocab:     vocab,
 	}
 	h := float64(hidden)
 	seq := float64(seqLen)
 	blockBoundary := int64(seqLen * hidden * BytesPerActivation)
 
-	embedShared := ""
-	if tied {
-		embedShared = "embedding"
-	}
 	s.Ops = append(s.Ops, Op{
-		Name:        "embedding",
-		Params:      int64(vocab) * int64(hidden),
-		FwdFlops:    2 * seq * h, // lookup + positional add; negligible
-		OutBytes:    blockBoundary,
-		SharedGroup: embedShared,
+		Name:     "embedding",
+		Params:   int64(vocab) * int64(hidden),
+		FwdFlops: 2 * seq * h, // lookup + positional add; negligible
+		OutBytes: blockBoundary,
 	})
 	for l := 0; l < layers; l++ {
 		attnParams := int64(4) * int64(hidden) * int64(hidden)
@@ -134,11 +118,10 @@ func Build(name string, layers, hidden, seqLen, vocab int, tied bool) *Spec {
 		headParams = 0
 	}
 	s.Ops = append(s.Ops, Op{
-		Name:        "lm_head",
-		Params:      headParams,
-		FwdFlops:    2 * seq * h * float64(vocab),
-		OutBytes:    int64(seqLen) * int64(vocab) * BytesPerActivation,
-		SharedGroup: embedShared,
+		Name:     "lm_head",
+		Params:   headParams,
+		FwdFlops: 2 * seq * h * float64(vocab),
+		OutBytes: int64(seqLen) * int64(vocab) * BytesPerActivation,
 	})
 	return s
 }
@@ -178,24 +161,4 @@ func (s *Spec) BlockActivationBytes() int64 {
 func (s *Spec) String() string {
 	return fmt.Sprintf("%s(%dL,H=%d,S=%d,%.2fB params)",
 		s.Name, s.NumLayers, s.Hidden, s.SeqLen, float64(s.Params())/1e9)
-}
-
-// humanParams renders a parameter count like "2.5B" or "340M".
-func humanParams(n int64) string {
-	switch {
-	case n >= 1e9:
-		return fmt.Sprintf("%.1fB", float64(n)/1e9)
-	case n >= 1e6:
-		return fmt.Sprintf("%.0fM", float64(n)/1e6)
-	default:
-		return fmt.Sprintf("%d", n)
-	}
-}
-
-// roundUp rounds x up to the nearest multiple of q.
-func roundUp(x, q int) int {
-	if q <= 0 {
-		return x
-	}
-	return int(math.Ceil(float64(x)/float64(q))) * q
 }

@@ -111,21 +111,3 @@ func (f Fabric) HierarchicalAllReduce(n int64, d, gpn int, intra, inter hw.Link)
 	interT := f.AllReduce(n, (d+gpn-1)/gpn, inter, 1)
 	return intraT + interT
 }
-
-// RingLink picks the link governing an allreduce ring over the given
-// GPU ranks in a cluster: the slowest link between consecutive ring
-// members (the ring is only as fast as its weakest hop).
-func RingLink(c hw.Cluster, ranks []int) hw.Link {
-	if len(ranks) <= 1 {
-		return c.VM.Intra
-	}
-	worst := c.VM.Intra
-	for i := range ranks {
-		j := (i + 1) % len(ranks)
-		l := c.LinkBetween(ranks[i], ranks[j])
-		if l.BandwidthBps < worst.BandwidthBps {
-			worst = l
-		}
-	}
-	return worst
-}

@@ -89,21 +89,6 @@ func TestAllReduceMonotoneInBytes(t *testing.T) {
 	}
 }
 
-func TestRingLinkWeakestHop(t *testing.T) {
-	c := hw.SpotCluster(hw.NC24v3, 16)
-	// Ring within one 4-GPU VM: PCIe.
-	if got := RingLink(c, []int{0, 1, 2, 3}); got.Kind != hw.LinkPCIe {
-		t.Fatalf("intra-VM ring = %v, want pcie", got.Kind)
-	}
-	// Ring spanning VMs: governed by ethernet.
-	if got := RingLink(c, []int{0, 1, 4, 5}); got.Kind != hw.LinkEthernet {
-		t.Fatalf("cross-VM ring = %v, want ethernet", got.Kind)
-	}
-	if got := RingLink(c, []int{3}); got.Kind != hw.LinkPCIe {
-		t.Fatal("singleton ring uses intra link")
-	}
-}
-
 func TestPaperScaleAllReduce(t *testing.T) {
 	// Data-parallel allreduce for one stage of 8.3B at P=18:
 	// 8.3e9/18 params × 2 bytes ≈ 0.92 GB per replica. Over 10 GbE

@@ -106,10 +106,10 @@ func TestBlockBuffersLiveUntilNextCall(t *testing.T) {
 		}
 	}
 	y1, ctx := b.Forward(x1)
-	keepY := y1.Clone()
+	keepY := clone(y1)
 	dx1 := b.Backward(ctx, randMatrix(rng, 8, 8))
 	unchanged("Backward: its Forward's output", y1, keepY)
-	keepDX := dx1.Clone()
+	keepDX := clone(dx1)
 	y2, ctx := b.Forward(x2)
 	unchanged("Forward: the last Backward's input gradient", dx1, keepDX)
 	dx2 := b.Backward(ctx, randMatrix(rng, 8, 8))

@@ -34,7 +34,7 @@ func checkGrads(t *testing.T, name string, params []*Param, x *Matrix, tol float
 	forward(x)
 	// dx is read only before the layer's next Backward, as long as the
 	// Layer contract keeps it: loss runs Forwards alone.
-	dx := backward(w.Clone())
+	dx := backward(clone(w))
 
 	const h = 1e-6
 	// Parameter gradients (sample a few indices per param).
@@ -82,6 +82,13 @@ func checkLayerGrads(t *testing.T, name string, l Layer, x *Matrix, tol float64)
 			return y
 		},
 		func(dy *Matrix) *Matrix { return l.Backward(ctx, dy) })
+}
+
+// clone deep-copies m.
+func clone(m *Matrix) *Matrix {
+	c := NewMatrix(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
 }
 
 func sampleIdx(rng *rand.Rand, n, k int) []int {
@@ -273,7 +280,7 @@ func TestAdamConvergesQuadratic(t *testing.T) {
 			t.Fatalf("Adam did not converge: %v", p.Value)
 		}
 	}
-	if opt.StepCount() != 2000 {
+	if opt.step != 2000 {
 		t.Fatal("step count")
 	}
 }
@@ -345,7 +352,7 @@ func TestRecomputeReproducesForward(t *testing.T) {
 	b := NewBlock("blk", 8, 4, 2, rng)
 	x := randMatrix(rng, 8, 8)
 	y, _ := b.Forward(x)
-	y1 := y.Clone()
+	y1 := clone(y)
 	y2, ctx2 := b.Forward(x)
 	for i := range y1.Data {
 		if math.Float64bits(y1.Data[i]) != math.Float64bits(y2.Data[i]) {

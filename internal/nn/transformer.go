@@ -360,9 +360,6 @@ func (a *Adam) Step(params []*Param) {
 	}
 }
 
-// StepCount reports completed optimizer steps.
-func (a *Adam) StepCount() int { return a.step }
-
 // State exposes the Adam moments of p (allocating if absent), for
 // checkpointing.
 func (a *Adam) State(p *Param) (m, v []float64) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -230,9 +229,6 @@ func (m *Metrics) Snapshot(mode SnapshotMode) Snap {
 
 // isWall reports whether a metric name is wall-clock self-profiling.
 func isWall(name string) bool { return len(name) >= 5 && name[:5] == "wall." }
-
-// JSON marshals the snapshot as indented, byte-stable JSON.
-func (s Snap) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
 // Summary renders the snapshot's histograms one per line, sorted —
 // the human-readable self-profiling block scenario summaries append.

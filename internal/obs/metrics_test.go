@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -99,11 +100,11 @@ func TestSnapshotJSONByteStable(t *testing.T) {
 		m.Observe("h1", 3)
 		return m
 	}
-	j1, err := build().Snapshot(All).JSON()
+	j1, err := json.MarshalIndent(build().Snapshot(All), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := build().Snapshot(All).JSON()
+	j2, err := json.MarshalIndent(build().Snapshot(All), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

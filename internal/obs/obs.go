@@ -203,39 +203,6 @@ func (t *Tracer) Len() int {
 	return len(t.spans)
 }
 
-// Find returns the span with the given id (zero Span, false when
-// absent or the tracer is nil).
-func (t *Tracer) Find(id SpanID) (Span, bool) {
-	if t == nil || id < 1 {
-		return Span{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(id) > len(t.spans) {
-		return Span{}, false
-	}
-	return t.spans[id-1], true
-}
-
-// Chain walks parent links from id upward (inclusive), returning the
-// spans root-last. A cycle-free walk by construction: parents always
-// have smaller ids.
-func (t *Tracer) Chain(id SpanID) []Span {
-	if t == nil {
-		return nil
-	}
-	var out []Span
-	for id > 0 {
-		sp, ok := t.Find(id)
-		if !ok {
-			break
-		}
-		out = append(out, sp)
-		id = sp.Parent
-	}
-	return out
-}
-
 // Scope is the observability one run records into, passed down as one
 // value: the tracer and the track its spans land on, the metrics
 // registry, and the series set with the name prefix and cadence of its

@@ -23,6 +23,15 @@ func TestTrackRegistration(t *testing.T) {
 	}
 }
 
+// find returns the span with the given id from tr's snapshot.
+func find(tr *Tracer, id SpanID) (Span, bool) {
+	spans := tr.Spans()
+	if id < 1 || int(id) > len(spans) {
+		return Span{}, false
+	}
+	return spans[id-1], true
+}
+
 func TestSpanLifecycle(t *testing.T) {
 	tr := NewTracer()
 	trk := tr.Track("job")
@@ -33,7 +42,7 @@ func TestSpanLifecycle(t *testing.T) {
 	tr.SetArgs(id, I64("gpus", 8), Str("label", "morph"))
 	tr.End(id, 500)
 
-	sp, ok := tr.Find(id)
+	sp, ok := find(tr, id)
 	if !ok {
 		t.Fatal("span not found")
 	}
@@ -46,13 +55,13 @@ func TestSpanLifecycle(t *testing.T) {
 
 	// End never rewinds: a second, earlier End leaves the span alone.
 	tr.End(id, 200)
-	if sp, _ = tr.Find(id); sp.End != 500 {
+	if sp, _ = find(tr, id); sp.End != 500 {
 		t.Fatalf("End rewound span to %v", sp.End)
 	}
 
 	// Instants carry ids and zero duration.
 	iid := tr.Instant(trk, id, 300, "fleet", "preempt")
-	if sp, _ = tr.Find(iid); sp.Start != sp.End || sp.Parent != id {
+	if sp, _ = find(tr, iid); sp.Start != sp.End || sp.Parent != id {
 		t.Fatalf("instant %+v", sp)
 	}
 	if tr.Len() != 2 {
@@ -62,7 +71,7 @@ func TestSpanLifecycle(t *testing.T) {
 	// Unknown ids are ignored, not panics.
 	tr.End(99, 1000)
 	tr.SetArgs(99, I64("x", 1))
-	if _, ok := tr.Find(99); ok {
+	if _, ok := find(tr, 99); ok {
 		t.Fatal("found a span that was never recorded")
 	}
 }
@@ -76,7 +85,16 @@ func TestChainRootLast(t *testing.T) {
 	decide := tr.Begin(job, preempt, 10, "manager", "decision")
 	restart := tr.Begin(job, decide, 20, "restart", "stop")
 
-	chain := tr.Chain(restart)
+	// Walk the recorded parent links from the restart span up.
+	var chain []Span
+	for id := restart; id != 0; {
+		sp, ok := find(tr, id)
+		if !ok {
+			t.Fatalf("parent %d was never recorded", id)
+		}
+		chain = append(chain, sp)
+		id = sp.Parent
+	}
 	want := []string{"stop", "decision", "preempt", "reclaim"}
 	if len(chain) != len(want) {
 		t.Fatalf("chain length %d, want %d", len(chain), len(want))
@@ -107,11 +125,8 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.Instant(0, 0, 0, "a", "b") != 0 || tr.Len() != 0 {
 		t.Fatal("nil tracer recorded something")
 	}
-	if tr.Spans() != nil || tr.Tracks() != nil || tr.Chain(1) != nil {
+	if tr.Spans() != nil || tr.Tracks() != nil {
 		t.Fatal("nil tracer snapshots non-nil")
-	}
-	if _, ok := tr.Find(1); ok {
-		t.Fatal("nil tracer found a span")
 	}
 }
 

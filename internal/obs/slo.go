@@ -209,9 +209,6 @@ func (m *Monitor) Result() SLOResult {
 	return r
 }
 
-// Breaches reports the breach-episode count so far.
-func (m *Monitor) Breaches() int { return m.breaches }
-
 // ParseSLOExpr parses a rule expression of the form
 //
 //	<series>[-<agg>] <op> <threshold>

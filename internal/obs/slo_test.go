@@ -50,23 +50,23 @@ func TestParseSLOExprRejects(t *testing.T) {
 func TestMonitorImmediateBreach(t *testing.T) {
 	m := &Monitor{Name: "d", Op: "<", Threshold: 0.03, Agg: "last"}
 	m.Observe(0, 0.01)
-	if m.Breaches() != 0 {
+	if m.Result().Breaches != 0 {
 		t.Fatal("compliant sample breached")
 	}
 	m.Observe(at(simtime.Hour), 0.05)
-	if m.Breaches() != 1 {
-		t.Fatalf("breaches %d", m.Breaches())
+	if m.Result().Breaches != 1 {
+		t.Fatalf("breaches %d", m.Result().Breaches)
 	}
 	// Still violating: same episode, no second breach.
 	m.Observe(at(2*simtime.Hour), 0.06)
-	if m.Breaches() != 1 {
-		t.Fatalf("episode double-counted: %d", m.Breaches())
+	if m.Result().Breaches != 1 {
+		t.Fatalf("episode double-counted: %d", m.Result().Breaches)
 	}
 	// Recover, then violate again: a new episode.
 	m.Observe(at(3*simtime.Hour), 0.01)
 	m.Observe(at(4*simtime.Hour), 0.09)
-	if m.Breaches() != 2 {
-		t.Fatalf("second episode not counted: %d", m.Breaches())
+	if m.Result().Breaches != 2 {
+		t.Fatalf("second episode not counted: %d", m.Result().Breaches)
 	}
 	r := m.Result()
 	if r.OK || r.Breaches != 2 || r.Worst != 0.09 || r.FirstBreachHours != 1 {
@@ -77,16 +77,16 @@ func TestMonitorImmediateBreach(t *testing.T) {
 func TestMonitorBurnWindow(t *testing.T) {
 	m := &Monitor{Name: "d", Op: "<", Threshold: 10, Agg: "last", For: 30 * simtime.Minute}
 	m.Observe(0, 50) // violation starts, burn window not yet elapsed
-	if m.Breaches() != 0 {
+	if m.Result().Breaches != 0 {
 		t.Fatal("breached before burn window elapsed")
 	}
 	m.Observe(at(10*simtime.Minute), 50)
-	if m.Breaches() != 0 {
+	if m.Result().Breaches != 0 {
 		t.Fatal("breached mid-burn")
 	}
 	m.Observe(at(30*simtime.Minute), 50)
-	if m.Breaches() != 1 {
-		t.Fatalf("burn window elapsed, breaches %d", m.Breaches())
+	if m.Result().Breaches != 1 {
+		t.Fatalf("burn window elapsed, breaches %d", m.Result().Breaches)
 	}
 	// A blip that recovers inside the window never breaches.
 	m2 := &Monitor{Name: "d", Op: "<", Threshold: 10, Agg: "last", For: 30 * simtime.Minute}
@@ -94,8 +94,8 @@ func TestMonitorBurnWindow(t *testing.T) {
 	m2.Observe(at(10*simtime.Minute), 5)
 	m2.Observe(at(20*simtime.Minute), 50)
 	m2.Observe(at(40*simtime.Minute), 5)
-	if m2.Breaches() != 0 {
-		t.Fatalf("blips breached: %d", m2.Breaches())
+	if m2.Result().Breaches != 0 {
+		t.Fatalf("blips breached: %d", m2.Result().Breaches)
 	}
 }
 
@@ -104,12 +104,12 @@ func TestMonitorRollingQuantile(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Observe(simtime.Time(i)*at(simtime.Minute), 50)
 	}
-	if m.Breaches() != 0 {
+	if m.Result().Breaches != 0 {
 		t.Fatal("p99 of 50s breached threshold 100")
 	}
 	m.Observe(simtime.Time(10)*at(simtime.Minute), 500)
-	if m.Breaches() != 1 {
-		t.Fatalf("p99 should include the 500 spike: %d", m.Breaches())
+	if m.Result().Breaches != 1 {
+		t.Fatalf("p99 should include the 500 spike: %d", m.Result().Breaches)
 	}
 	// After the window slides past the spike, the aggregate recovers.
 	m.Observe(simtime.Time(3)*at(simtime.Hour), 50)

@@ -236,27 +236,3 @@ func (c *Curve) Mean(from, to simtime.Time) float64 {
 	}
 	return c.Integrate(from, to) / (to.Sub(from).Seconds() / 3600)
 }
-
-// Constant reports whether the curve never changes price — the case
-// in which dollar objectives cannot shift spend across time.
-func (c *Curve) Constant() bool {
-	if c == nil || len(c.steps) <= 1 {
-		return true
-	}
-	first := c.steps[0].PerGPUHour
-	for _, s := range c.steps[1:] {
-		if s.PerGPUHour != first {
-			return false
-		}
-	}
-	return true
-}
-
-// Steps returns a copy of the curve's breakpoints (for plotting and
-// serialization).
-func (c *Curve) Steps() []Step {
-	if c == nil {
-		return nil
-	}
-	return append([]Step(nil), c.steps...)
-}

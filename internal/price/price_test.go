@@ -15,9 +15,6 @@ func TestConstantCurve(t *testing.T) {
 	if got := c.At(simtime.Time(100 * simtime.Hour)); got != 2.5 {
 		t.Fatalf("At(100h) = %v", got)
 	}
-	if !c.Constant() {
-		t.Fatal("Constant() must report true")
-	}
 	// One GPU for two hours at $2.5/GPU·h = $5.
 	got := c.Integrate(0, simtime.Time(2*simtime.Hour))
 	if math.Abs(got-5) > 1e-12 {
@@ -49,9 +46,6 @@ func TestStepCurveAtAndIntegrate(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Constant() {
-		t.Fatal("stepped curve must not report Constant")
 	}
 	// Before the first step the first price applies.
 	if got := c.At(0); got != 1 {
@@ -104,7 +98,7 @@ func TestMeanRevertingDeterministicAndBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, bs := a.Steps(), b.Steps()
+	as, bs := a.steps, b.steps
 	if len(as) == 0 || len(as) != len(bs) {
 		t.Fatalf("step counts differ: %d vs %d", len(as), len(bs))
 	}
@@ -123,7 +117,7 @@ func TestMeanRevertingDeterministicAndBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if same := func() bool {
-		os := other.Steps()
+		os := other.steps
 		for i := range as {
 			if as[i] != os[i] {
 				return false
@@ -156,9 +150,6 @@ func TestNilCurveIsFree(t *testing.T) {
 	var c *Curve
 	if c.At(0) != 0 || c.Integrate(0, simtime.Time(simtime.Hour)) != 0 {
 		t.Fatal("nil curve must price at zero")
-	}
-	if !c.Constant() {
-		t.Fatal("nil curve is constant")
 	}
 }
 

@@ -294,16 +294,6 @@ func (m *Model) redistributeTime(old, new Assignment) simtime.Duration {
 	return dest
 }
 
-// TotalStateBytes is the full training-state footprint the model
-// accounts — Σ LayerBytes, the §4.5 checkpoint's size.
-func (m *Model) TotalStateBytes() int64 {
-	var n int64
-	for _, b := range m.LayerBytes {
-		n += b
-	}
-	return n
-}
-
 // LayerBytesFromManifest builds the model's per-layer byte vector from
 // a real checkpoint's accounting instead of analytic spec sizes — the
 // path a live deployment prices from, since the manifest records what

@@ -201,9 +201,6 @@ func TestModelFromManifest(t *testing.T) {
 	if want := []int64{100, 0, 300}; !reflect.DeepEqual(m.LayerBytes, want) {
 		t.Fatalf("LayerBytes = %v, want %v", m.LayerBytes, want)
 	}
-	if got := m.TotalStateBytes(); got != man.TotalBytes() {
-		t.Fatalf("model total %d != manifest total %d", got, man.TotalBytes())
-	}
 }
 
 // TestEvenStages pins the contiguous layer→stage reconstruction used

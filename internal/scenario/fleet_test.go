@@ -90,6 +90,10 @@ func TestParseFleetStrict(t *testing.T) {
 		{"bad-count", "count: 8", "count: 0", "count must be positive"},
 		{"late-event", "at: 3h", "at: 9h", "outside [0, horizon]"},
 		{"unknown-key", "victim-seed: 19", "victim-seed: 19\n  bogus: 1", `unknown key "fleet.bogus"`},
+		{"zero-probe", "seed: 7", "seed: 7\n  probe: 0", "market.probe: must be positive"},
+		{"negative-probe", "seed: 7", "seed: 7\n  probe: -10m", `market.probe: "-10m" is negative`},
+		{"negative-deadline", "deadline-at: 8h", "deadline-at: -8h", `jobs[0].deadline-at: "-8h" is negative`},
+		{"negative-at", "at: 2h", "at: -2h", `events[0].at: "-2h" is negative`},
 	} {
 		doc := strings.Replace(miniFleet, tc.old, tc.new, 1)
 		if doc == miniFleet {

@@ -170,13 +170,24 @@ func TestMultiJobTraceChain(t *testing.T) {
 		}
 		return m
 	}
+	// ancestry walks parent links from id upward, root last. Span ids
+	// are 1-based recording positions.
+	spans := tr.Spans()
+	ancestry := func(id obs.SpanID) []obs.Span {
+		var out []obs.Span
+		for id > 0 && int(id) <= len(spans) {
+			out = append(out, spans[id-1])
+			id = spans[id-1].Parent
+		}
+		return out
+	}
 	var viaMarket, viaCascade, restarts int
-	for _, sp := range tr.Spans() {
+	for _, sp := range spans {
 		if sp.Cat != "restart" {
 			continue
 		}
 		restarts++
-		chain := tr.Chain(sp.ID)
+		chain := ancestry(sp.ID)
 		if chain[len(chain)-1].Parent != 0 {
 			t.Fatalf("restart span %d chain does not reach a root", sp.ID)
 		}

@@ -600,6 +600,11 @@ func (d *decoder) validate(sc *Scenario) {
 	if sc.Market.BaseCapacity < 1 {
 		d.errf("market.base-capacity: required and positive")
 	}
+	// The spot pool and the fleet arbiter both tick at this cadence; a
+	// zero one would reschedule the tick at the same instant forever.
+	if sc.Market.Probe <= 0 {
+		d.errf("market.probe: must be positive, got %v", sc.Market.Probe)
+	}
 	switch sc.Prices.Kind {
 	case "constant":
 		if sc.Prices.PerGPUHour <= 0 {
@@ -657,7 +662,7 @@ func (d *decoder) validate(sc *Scenario) {
 	}
 	for i, ev := range sc.Events {
 		at := fmt.Sprintf("events[%d] (%s)", i, ev.Kind)
-		if ev.At < 0 || ev.At > sc.Run.Horizon {
+		if ev.At > sc.Run.Horizon {
 			d.errf("%s: at %v outside [0, horizon]", at, ev.At)
 		}
 		switch ev.Kind {
@@ -705,6 +710,20 @@ func (d *decoder) validate(sc *Scenario) {
 		}
 	}
 	if c := sc.Chaos; c != nil {
+		for _, rate := range []struct {
+			name    string
+			perHour float64
+		}{
+			{"preempts-per-hour", c.PreemptsPerHour},
+			{"stragglers-per-hour", c.StragglersPerHour},
+			{"degrades-per-hour", c.DegradesPerHour},
+		} {
+			// Above one arrival per simulated microsecond the mean gap
+			// truncates to zero and Expand never reaches the horizon.
+			if rate.perHour > float64(simtime.Hour) {
+				d.errf("chaos.%s: %v exceeds %v", rate.name, rate.perHour, float64(simtime.Hour))
+			}
+		}
 		if c.ShockEvery > 0 && !priced {
 			d.errf("chaos.shock-every: needs a prices block")
 		}
@@ -773,7 +792,7 @@ func (d *decoder) validateFleet(sc *Scenario) {
 	}
 	for i, ev := range sc.Events {
 		at := fmt.Sprintf("events[%d] (%s)", i, ev.Kind)
-		if ev.At < 0 || ev.At > f.Horizon {
+		if ev.At > f.Horizon {
 			d.errf("%s: at %v outside [0, horizon]", at, ev.At)
 		}
 		switch ev.Kind {
@@ -844,9 +863,6 @@ func (d *decoder) validateTelemetry(sc *Scenario) {
 			d.errf("%s: duplicate rule name %q", at, name)
 		}
 		names[name] = true
-		if sl.Window < 0 || sl.For < 0 {
-			d.errf("%s: window and for must be non-negative", at)
-		}
 		if sc.Fleet == nil {
 			if sl.Job != "" {
 				d.errf("%s.job: only valid in fleet mode", at)
@@ -1030,6 +1046,9 @@ func (s *section) dur(k string, def simtime.Duration) simtime.Duration {
 		return def
 	}
 	d, err := parseDuration(v)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("%q is negative", v)
+	}
 	if err != nil {
 		s.d.errf("%s: %v", s.key(k), err)
 		return def

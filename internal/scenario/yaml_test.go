@@ -165,6 +165,16 @@ func TestParseScenarioStrict(t *testing.T) {
 		{"nan-range", "degrades-per-hour: 1", "degrades-per-hour: 1\n  straggler-factor: [1.05, NaN]", `chaos.straggler-factor: "NaN" is not a finite number`},
 		{"nan-duration", "horizon: 6h", "horizon: NaNh", `run.horizon: "NaNh" is not a duration`},
 		{"overflow-duration", "duration: 20m", "duration: 1e12h", `events[2].duration: "1e12h" is out of range`},
+		{"zero-probe", "seed: 12", "seed: 12\n  probe: 0", "market.probe: must be positive"},
+		{"negative-probe", "seed: 12", "seed: 12\n  probe: -10m", `market.probe: "-10m" is negative`},
+		{"negative-mean-hold", "seed: 12", "seed: 12\n  mean-hold: -1h", `market.mean-hold: "-1h" is negative`},
+		{"negative-heartbeat", "manager-seed: 13", "manager-seed: 13\n  heartbeat-every: -5m", `run.heartbeat-every: "-5m" is negative`},
+		{"negative-deadline", "manager-seed: 13", "manager-seed: 13\n  deadline-at: -1h", `run.deadline-at: "-1h" is negative`},
+		{"negative-price-step", "reversion: 0.12", "reversion: 0.12\n  step: -1h", `prices.step: "-1h" is negative`},
+		{"negative-at", "at: 1h", "at: -1h", `events[0].at: "-1h" is negative`},
+		{"negative-event-duration", "duration: 20m", "duration: -20m", `events[2].duration: "-20m" is negative`},
+		{"negative-slo-window", "degrades-per-hour: 1\n", "degrades-per-hour: 1\nslos:\n  - expr: gpus < 8\n    window: -1h\n", `slos[0].window: "-1h" is negative`},
+		{"zero-gap-chaos-rate", "preempts-per-hour: 4", "preempts-per-hour: 4e9", "chaos.preempts-per-hour: 4e+09 exceeds"},
 	} {
 		doc := strings.Replace(miniScenario, tc.old, tc.new, 1)
 		if doc == miniScenario {

@@ -55,9 +55,6 @@ func (q *EventQueue) ScheduleCall(at Time, h Handle, a, b int32) {
 	q.up(len(q.heap) - 1)
 }
 
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return len(q.heap) }
-
 // Scheduled reports how many events have been scheduled since the
 // queue was created or last Reset.
 func (q *EventQueue) Scheduled() int64 { return q.seq }

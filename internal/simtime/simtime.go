@@ -105,9 +105,6 @@ func (r *Rand) NormFloat64() float64 { return r.r.NormFloat64() }
 // ExpFloat64 returns an exponentially distributed sample with mean 1.
 func (r *Rand) ExpFloat64() float64 { return r.r.ExpFloat64() }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
-
 // Jitter returns d scaled by a non-negative multiplicative factor drawn
 // from a truncated normal with the given coefficient of variation. A cv
 // of 0 returns d unchanged. The result is never below d/2 so pathologic

@@ -153,8 +153,8 @@ func TestEventQueueHorizon(t *testing.T) {
 	if end != Time(2*Second) {
 		t.Fatalf("end = %v, want horizon", end)
 	}
-	if q.Len() != 1 {
-		t.Fatalf("pending = %d, want 1", q.Len())
+	if len(q.heap) != 1 {
+		t.Fatalf("pending = %d, want 1", len(q.heap))
 	}
 }
 
@@ -241,8 +241,8 @@ func TestEventQueueReset(t *testing.T) {
 	discarded := q.Register(func(_, _ int32) { t.Fatal("discarded event fired") })
 	q.ScheduleCall(100, discarded, 0, 0)
 	q.Reset()
-	if q.Len() != 0 || q.Now() != 0 || q.Scheduled() != 0 {
-		t.Fatalf("Reset left len=%d now=%v scheduled=%d", q.Len(), q.Now(), q.Scheduled())
+	if len(q.heap) != 0 || q.Now() != 0 || q.Scheduled() != 0 {
+		t.Fatalf("Reset left len=%d now=%v scheduled=%d", len(q.heap), q.Now(), q.Scheduled())
 	}
 	// The queue must be fully usable after Reset, with seq restarting so
 	// ordering stays deterministic and registrations kept.
@@ -322,8 +322,8 @@ func BenchmarkEventQueueHold(b *testing.B) {
 			q.Step()
 		}
 	}
-	if q.Len() != pending {
-		b.Fatalf("%d pending, want %d", q.Len(), pending)
+	if len(q.heap) != pending {
+		b.Fatalf("%d pending, want %d", len(q.heap), pending)
 	}
 }
 

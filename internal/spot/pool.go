@@ -36,16 +36,6 @@ func NewPool(mk *Market, target int) *Pool {
 // Market exposes the underlying market (price curve, hazard model).
 func (p *Pool) Market() *Market { return p.mk }
 
-// Target reports the GPU count the pool grows toward.
-func (p *Pool) Target() int { return p.target }
-
-// SetTarget changes the GPU count the pool grows toward from the next
-// tick on.
-func (p *Pool) SetTarget(gpus int) { p.target = gpus }
-
-// Held reports the GPUs the pool currently holds from the market.
-func (p *Pool) Held() int { return p.mk.held }
-
 // LiveIDs lists the currently-held VM ids in allocation order — the
 // deterministic iteration order scripted reclaims pick victims from.
 func (p *Pool) LiveIDs() []int {

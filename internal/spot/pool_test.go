@@ -73,7 +73,7 @@ func TestPoolKillFeedsBackIntoMarket(t *testing.T) {
 	var live map[int]bool
 	// Tick until some VMs exist.
 	tick := simtime.Time(0)
-	for p.Held() == 0 {
+	for p.mk.held == 0 {
 		tick = tick.Add(10 * simtime.Minute)
 		p.Tick(tick, 10*simtime.Minute)
 	}
@@ -81,12 +81,12 @@ func TestPoolKillFeedsBackIntoMarket(t *testing.T) {
 	if len(ids) == 0 {
 		t.Fatal("held > 0 but no live ids")
 	}
-	held := p.Held()
+	held := p.mk.held
 	if !p.Kill(ids[0]) {
 		t.Fatal("killing a live VM must succeed")
 	}
-	if p.Held() != held-mk.GPUsPerVM {
-		t.Fatalf("kill must return capacity: held %d, want %d", p.Held(), held-mk.GPUsPerVM)
+	if p.mk.held != held-mk.GPUsPerVM {
+		t.Fatalf("kill must return capacity: held %d, want %d", p.mk.held, held-mk.GPUsPerVM)
 	}
 	if p.Kill(ids[0]) {
 		t.Fatal("killing a dead VM must be a no-op")
@@ -114,26 +114,16 @@ func TestPoolTargetDrivesGrowth(t *testing.T) {
 	mk := NewMarket(1, 200, 3)
 	p := NewPool(mk, 5)
 	tick := simtime.Time(0)
-	for i := 0; i < 100; i++ {
-		tick = tick.Add(10 * simtime.Minute)
-		p.Tick(tick, 10*simtime.Minute)
-		if p.Held() > 5 {
-			t.Fatalf("pool grew past its target: held %d > 5", p.Held())
-		}
-	}
-	if p.Target() != 5 {
-		t.Fatalf("Target() = %d", p.Target())
-	}
-	p.SetTarget(120)
 	peak := 0
 	for i := 0; i < 100; i++ {
 		tick = tick.Add(10 * simtime.Minute)
 		p.Tick(tick, 10*simtime.Minute)
-		if p.Held() > peak {
-			peak = p.Held()
+		if p.mk.held > 5 {
+			t.Fatalf("pool grew past its target: held %d > 5", p.mk.held)
 		}
+		peak = max(peak, p.mk.held)
 	}
-	if peak <= 5 {
-		t.Fatalf("raising the target must let the pool grow: peak held %d", peak)
+	if peak != 5 {
+		t.Fatalf("pool never reached its target: peak held %d", peak)
 	}
 }

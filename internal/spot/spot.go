@@ -109,9 +109,6 @@ func (mk *Market) PreemptionHazard(t simtime.Time) float64 {
 	return base * (0.3 + 2.7*pressure) * size
 }
 
-// Held reports the GPUs currently allocated from this market.
-func (mk *Market) Held() int { return mk.held }
-
 // ExpectedNextEvent reports the analytic expected time until the next
 // fleet event for a job holding vms VMs at time t: the superposition
 // of the per-VM preemption hazards. It is the market's own estimate of
@@ -261,9 +258,6 @@ func (e *GapEstimator) NextKind() (kind EventKind, ok bool) {
 	}
 	return kind, ok
 }
-
-// Observations reports how many gaps the estimate is built on.
-func (e *GapEstimator) Observations() int { return e.n }
 
 // KindObservations reports how many same-kind gaps back ExpectedOf for
 // the given kind.

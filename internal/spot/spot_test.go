@@ -36,14 +36,14 @@ func TestTryAllocateRespectsCapacity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mk.TryAllocate(0)
 	}
-	if mk.Held() > 12*2 { // pool swings with amplitude but never 100 VMs
-		t.Fatalf("held %d exceeds any plausible capacity", mk.Held())
+	if mk.held > 12*2 { // pool swings with amplitude but never 100 VMs
+		t.Fatalf("held %d exceeds any plausible capacity", mk.held)
 	}
 	// Releases return capacity.
-	h := mk.Held()
+	h := mk.held
 	if h >= 4 {
 		mk.Release()
-		if mk.Held() != h-4 {
+		if mk.held != h-4 {
 			t.Fatal("release must return one VM")
 		}
 	}
@@ -51,11 +51,11 @@ func TestTryAllocateRespectsCapacity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mk.Release()
 	}
-	if mk.Held() != 0 {
-		t.Fatalf("held = %d after mass release", mk.Held())
+	if mk.held != 0 {
+		t.Fatalf("held = %d after mass release", mk.held)
 	}
 	mk.Release()
-	if mk.Held() != 0 {
+	if mk.held != 0 {
 		t.Fatal("release at zero must be a no-op")
 	}
 }
@@ -150,15 +150,15 @@ func TestGapEstimator(t *testing.T) {
 	// Simultaneous events collapse into one observation.
 	e.Observe(0)
 	e.Observe(0)
-	if e.Observations() != 0 || e.Expected() != 30*simtime.Minute {
-		t.Fatalf("one instant is no gap: n=%d expected=%v", e.Observations(), e.Expected())
+	if e.n != 0 || e.Expected() != 30*simtime.Minute {
+		t.Fatalf("one instant is no gap: n=%d expected=%v", e.n, e.Expected())
 	}
 	// A steady 10-minute cadence converges to a 10-minute estimate.
 	for i := 1; i <= 50; i++ {
 		e.Observe(simtime.Time(i) * simtime.Time(10*simtime.Minute))
 	}
-	if e.Observations() != 50 {
-		t.Fatalf("observations = %d, want 50", e.Observations())
+	if e.n != 50 {
+		t.Fatalf("observations = %d, want 50", e.n)
 	}
 	got := e.Expected()
 	if got != 10*simtime.Minute {

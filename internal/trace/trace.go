@@ -1,16 +1,15 @@
 // Package trace implements Varuna's cross-partition dependency tracer
 // (§5.2). The paper instruments PyTorch so that every tensor created
 // during a dry run is tagged with the cut-point (partition) it belongs
-// to; any function that then touches tensors from more than one
-// partition — or tensors created outside the model, like an optimizer's
-// global norm or APEX's loss scale — is flagged as hidden cross-
-// partition state that must be synchronized.
+// to; any tensor that more than one partition touches is flagged as
+// hidden cross-partition state that must be synchronized.
 //
-// Here the same idea runs over the nn layer graph: a dry run executes
-// the partitioned model in one process, tagging every parameter and
-// activation with its stage, and records each observed violation. The
-// engine consumes the findings to build its §6 "second process group"
-// for shared-state allreduce.
+// Here DryRun walks the partitioned nn layer graph in one process,
+// tagging every parameter with the stages of the layers that expose
+// it. It reports the parameters seen on more than one stage, which
+// are the tied weights (the input embedding the output projection
+// shares). The engine allreduces those parameters' gradients across
+// the pipeline group every mini-batch, its §6 "second process group".
 package trace
 
 import (
@@ -20,18 +19,9 @@ import (
 	"repro/internal/nn"
 )
 
-// Ownership tags a tensor with the partition that created it.
-type Ownership int
-
-// Common is the tag for tensors created outside any partition (§5.2:
-// "any tensors that are unmarked during the run are also considered
-// common").
-const Common Ownership = -1
-
 // Finding is one detected cross-partition dependency.
 type Finding struct {
-	// Tensor names the offending tensor (parameter name or synthetic
-	// activation id).
+	// Tensor names the offending parameter.
 	Tensor string
 	// Stages lists the partitions that touched it, ascending.
 	Stages []int
@@ -113,44 +103,4 @@ func DryRun(layers []nn.Layer, stageOf []int) (Report, error) {
 		report.Findings = append(report.Findings, Finding{Tensor: name, Stages: stages, Reason: reason})
 	}
 	return report, nil
-}
-
-// GlobalState describes optimizer- or library-level tensors computed
-// across partitions (the paper's NVLAMB global norm and APEX loss-scale
-// examples). Register them so ScanGlobals can flag the ones a
-// partitioned run would compute inconsistently.
-type GlobalState struct {
-	// Name identifies the global tensor ("nvlamb.global_norm").
-	Name string
-	// ReadsAllLayers marks reductions over every layer's state.
-	ReadsAllLayers bool
-}
-
-// ScanGlobals flags registered globals that read layers from more than
-// one stage under the given partitioning — these need a pipeline-group
-// allreduce just like shared weights.
-func ScanGlobals(globals []GlobalState, stageOf []int) []Finding {
-	stages := map[int]bool{}
-	for _, s := range stageOf {
-		stages[s] = true
-	}
-	if len(stages) <= 1 {
-		return nil
-	}
-	all := make([]int, 0, len(stages))
-	for s := range stages {
-		all = append(all, s)
-	}
-	sort.Ints(all)
-	var out []Finding
-	for _, g := range globals {
-		if g.ReadsAllLayers {
-			out = append(out, Finding{
-				Tensor: g.Name,
-				Stages: all,
-				Reason: "global reduction over layers spanning partitions",
-			})
-		}
-	}
-	return out
 }

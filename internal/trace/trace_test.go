@@ -77,24 +77,3 @@ func TestDryRunUntiedClean(t *testing.T) {
 		t.Fatalf("headless model flagged %v", report.Findings)
 	}
 }
-
-func TestScanGlobals(t *testing.T) {
-	globals := []GlobalState{
-		{Name: "nvlamb.global_norm", ReadsAllLayers: true},
-		{Name: "apex.loss_scale", ReadsAllLayers: true},
-		{Name: "lr_schedule.step", ReadsAllLayers: false},
-	}
-	found := ScanGlobals(globals, []int{0, 0, 1, 1, 2})
-	if len(found) != 2 {
-		t.Fatalf("found %v, want the two all-layer reductions", found)
-	}
-	for _, f := range found {
-		if len(f.Stages) != 3 {
-			t.Fatalf("stages = %v, want all three", f.Stages)
-		}
-	}
-	// Single partition: nothing to synchronize.
-	if got := ScanGlobals(globals, []int{0, 0, 0}); got != nil {
-		t.Fatalf("single stage flagged %v", got)
-	}
-}
