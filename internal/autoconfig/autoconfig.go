@@ -50,7 +50,9 @@ type Choice struct {
 	P, D int
 	// M is the micro-batch size, Nm the micro-batches per replica.
 	M, Nm int
-	// Stages is the cut-point grouping for this depth.
+	// Stages is the cut-point grouping for this depth. It is
+	// read-only: the Choices one Planner or Sweep returns at one depth
+	// share it.
 	Stages []model.Stage
 	// Est is the simulator's predicted mini-batch time.
 	Est simtime.Duration
@@ -132,6 +134,9 @@ type costCache struct {
 
 	hits, misses          atomic.Uint64
 	costComputes, simRuns atomic.Uint64
+
+	// plans is the plan memo of the Inputs this cache serves.
+	plans planMemo
 }
 
 // costKey scopes entries to the model being planned for: a cache
@@ -276,19 +281,68 @@ type microPlan struct {
 	est   simtime.Duration
 }
 
+// planMemo holds what planning a shape derives from the Inputs alone:
+// each depth's balanced partition with its error, the kernel sweet
+// spot (PickMicroSize), and the micro-batch sizes pruneMicroSizes keeps
+// per (P, D). A costCache serves one Inputs, which a Planner fixes for
+// its life, so the memo is never invalidated. It fills lazily, as
+// shapes are planned, and holds at most len(Cuts)+1 partitions and one
+// list of at most three sizes per shape planned; a shape planDepth
+// refuses never reaches it. It is safe for concurrent use.
+type planMemo struct {
+	once   sync.Once
+	sweet  int
+	depths []depthMemo // indexed by p-1
+
+	mu    sync.Mutex
+	sizes map[shape][]int
+}
+
+// depthMemo is one depth's partition, computed once.
+type depthMemo struct {
+	once   sync.Once
+	stages []model.Stage
+	err    error
+}
+
 // planDepth partitions the model for depth p and picks the micro-batch
-// sizes worth simulating (pruneMicroSizes).
-func planDepth(in Inputs, p, d int) (depthPlan, error) {
+// sizes worth simulating (pruneMicroSizes), through the plan memo. The
+// stages are shared by every plan and Choice at depth p; micros is
+// fresh, for the cost pass and presimulate write into it.
+func (c *costCache) planDepth(in Inputs, p, d int) (depthPlan, error) {
 	if p < 1 || d < 1 {
 		return depthPlan{}, fmt.Errorf("autoconfig: bad shape %dx%d", p, d)
 	}
-	stages, err := model.Partition(in.Spec, in.Cuts, p, true)
-	if err != nil {
+	if p > len(in.Cuts)+1 {
+		// Partition refuses the depth before doing any work.
+		_, err := model.Partition(in.Spec, in.Cuts, p, true)
 		return depthPlan{}, err
 	}
-	dp := depthPlan{p: p, d: d, stages: stages}
-	for _, m := range pruneMicroSizes(in, stages, p, d, in.Params.PickMicroSize(0.05)) {
-		dp.micros = append(dp.micros, microPlan{m: m, nm: GradAccum(in.MTotal, m, d)})
+	pm := &c.plans
+	pm.once.Do(func() {
+		pm.sweet = in.Params.PickMicroSize(0.05)
+		pm.depths = make([]depthMemo, len(in.Cuts)+1)
+		pm.sizes = make(map[shape][]int)
+	})
+	dm := &pm.depths[p-1]
+	dm.once.Do(func() { dm.stages, dm.err = model.Partition(in.Spec, in.Cuts, p, true) })
+	if dm.err != nil {
+		return depthPlan{}, dm.err
+	}
+	key := shape{p: p, d: d}
+	pm.mu.Lock()
+	sizes, ok := pm.sizes[key]
+	pm.mu.Unlock()
+	if !ok {
+		// A racing fill computes the same sizes.
+		sizes = pruneMicroSizes(in, dm.stages, p, d, pm.sweet)
+		pm.mu.Lock()
+		pm.sizes[key] = sizes
+		pm.mu.Unlock()
+	}
+	dp := depthPlan{p: p, d: d, stages: dm.stages, micros: make([]microPlan, len(sizes))}
+	for i, m := range sizes {
+		dp.micros[i] = microPlan{m: m, nm: GradAccum(in.MTotal, m, d)}
 	}
 	return dp, nil
 }
@@ -470,7 +524,7 @@ func sweep(in Inputs, g int, cache *costCache) ([]Choice, error) {
 	}
 	plans := make([]depthPlan, 0, len(shapes))
 	for _, sh := range shapes {
-		if dp, err := planDepth(in, sh.p, sh.d); err == nil {
+		if dp, err := cache.planDepth(in, sh.p, sh.d); err == nil {
 			dp.loadCosts(in, cache)
 			plans = append(plans, dp)
 		}

@@ -80,7 +80,7 @@ func newCandSet(in Inputs, g int, levels []level, cache *costCache) (*candSet, e
 				continue
 			}
 			seen[sh] = true
-			dp, err := planDepth(in, sh.p, sh.d)
+			dp, err := cache.planDepth(in, sh.p, sh.d)
 			if err != nil || len(dp.micros) == 0 {
 				continue
 			}

@@ -60,17 +60,6 @@ type MorphDecision struct {
 	// the held configuration (examples/s; <= 0 always holds under max
 	// throughput).
 	GainPerSec float64
-	// Horizon is the expected time until the next fleet event the
-	// decision discounted the gain over.
-	Horizon simtime.Duration
-	// PreemptNext records whether the decision treated the next fleet
-	// event as a likely preemption (and so discounted the gain window).
-	PreemptNext bool
-	// MorphCostPerEx and HoldCostPerEx are the dollars-per-example of
-	// the two paths over the decision window, filled only by the
-	// dollar objectives when both paths produce examples — the
-	// quantities the decision compared.
-	MorphCostPerEx, HoldCostPerEx float64
 }
 
 // BestOrHold is the cost-aware variant of BestFor: given the currently
@@ -89,7 +78,7 @@ func (pl *Planner) BestOrHold(g int, cur Choice, running bool, rm *restart.Model
 	if err != nil {
 		return MorphDecision{}, err
 	}
-	dec := MorphDecision{Choice: best, Horizon: hz.Until, PreemptNext: hz.PreemptNext}
+	dec := MorphDecision{Choice: best}
 	if !running || rm == nil {
 		dec.Morph = true
 		if rm != nil {

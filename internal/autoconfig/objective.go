@@ -409,12 +409,6 @@ func (dec *MorphDecision) tradeDollars(cur Choice, hz Horizon, obj Objective, ec
 	}
 	morphDollars := rate * (float64(union)*down.Seconds() + float64(best.GPUsUsed)*usable.Seconds())
 	holdDollars := rate * float64(cur.GPUsUsed) * hz.Until.Seconds()
-	if exMorph > 0 {
-		dec.MorphCostPerEx = morphDollars / exMorph
-	}
-	if exHold > 0 {
-		dec.HoldCostPerEx = holdDollars / exHold
-	}
 	value := marginalSlack * baseline
 	dec.Morph = value*exMorph-morphDollars > value*exHold-holdDollars
 }

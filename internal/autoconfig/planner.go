@@ -27,6 +27,10 @@ import (
 //     (constant single-VM churn around a quantized level) replays the
 //     stored Best choice without touching the simulator at all.
 //
+// Beside the cost cache, a plan memo keeps each depth's partition and
+// each shape's micro-batch sizes (planMemo), so a decision plans only
+// the shapes the Planner has never planned.
+//
 // Sweeps through a Planner remain bit-identical to the stateless
 // Sweep/Best functions: cached values are exactly the values a cold
 // evaluation computes (TestPlannerSecondSweepGolden pins this). A
@@ -150,7 +154,7 @@ func (pl *Planner) startSweep() func(skips int) {
 // memory-feasible profiled size up to the kernel sweet spot that
 // pruneMicroSizes keeps is simulated and the fastest wins.
 func (pl *Planner) Evaluate(p, d int) (Choice, error) {
-	dp, err := planDepth(pl.in, p, d)
+	dp, err := pl.cache.planDepth(pl.in, p, d)
 	if err != nil {
 		return Choice{}, err
 	}

@@ -2,6 +2,7 @@ package autoconfig
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/hw"
@@ -157,6 +158,79 @@ func TestPlannerCappedBitIdentical(t *testing.T) {
 	}
 	if fs := free.Stats(); fs.CostEvictions != 0 || fs.DecisionEvictions != 0 {
 		t.Fatalf("unbounded planner evicted: %+v", fs)
+	}
+}
+
+// TestPlannerConcurrentUse: eight goroutines share one Planner, as the
+// experiments of a parallel varuna-bench run share a job's, and each
+// makes every call of one list, starting at a different call: Best,
+// BestFor (min-$ and a live deadline), Sweep and Evaluate. Every
+// result, choice or error, equals a serial Planner's for the same call.
+// The list sweeps every fleet level its decisions take, so whatever a
+// decision's walk simulates is cached in any interleaving, and the
+// ExportState bytes equal the serial Planner's too.
+func TestPlannerConcurrentUse(t *testing.T) {
+	in := inputsFor(t, model.GPT2XL2B(), 53)
+	minDollar := Objective{Kind: ObjMinDollarPerExample}
+	deadline := Objective{Kind: ObjDeadline, DeadlineAt: simtime.Time(24 * simtime.Hour), TargetExamples: 5e6}
+	live := Econ{PerGPUHour: 4.3, MeanPerGPUHour: 2.4, Now: simtime.Time(6 * simtime.Hour), DoneExamples: 1e6}
+	if r := requiredRate(deadline, live); !(r > 0) {
+		t.Fatalf("the deadline requires no rate (%v)", r)
+	}
+	calls := []func(*Planner) []decided{
+		func(pl *Planner) []decided { return []decided{decide(pl.Best(24))} },
+		func(pl *Planner) []decided {
+			return []decided{decide(pl.BestFor(24, minDollar, Econ{PerGPUHour: 2.4, MeanPerGPUHour: 2.4}))}
+		},
+		func(pl *Planner) []decided { return []decided{decide(pl.BestFor(16, deadline, live))} },
+		func(pl *Planner) []decided { return []decided{decide(pl.Best(16))} },
+	}
+	// The shrink levels of 24 and 16 GPUs.
+	for _, g := range []int{24, 18, 12, 6, 16, 8, 4} {
+		calls = append(calls, func(pl *Planner) []decided { return swept(pl.Sweep(g)) })
+	}
+	// Shapes that fit, do not fit, are malformed and are too deep.
+	for _, sh := range []shape{{18, 1}, {9, 2}, {2, 1}, {0, 1}, {len(in.Cuts) + 2, 1}} {
+		calls = append(calls, func(pl *Planner) []decided { return []decided{decide(pl.Evaluate(sh.p, sh.d))} })
+	}
+	exported := func(pl *Planner) string {
+		data, err := pl.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	serial := NewPlanner(in)
+	want := make([][]decided, len(calls))
+	for i, call := range calls {
+		want[i] = call(serial)
+	}
+
+	shared := NewPlanner(in)
+	got := make([][][]decided, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([][]decided, len(calls))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range calls {
+				i := (w*len(calls)/len(got) + k) % len(calls)
+				got[w][i] = calls[i](shared)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i := range calls {
+			if !reflect.DeepEqual(got[w][i], want[i]) {
+				t.Fatalf("goroutine %d, call %d: shared Planner %+v, serial %+v", w, i, got[w][i], want[i])
+			}
+		}
+	}
+	if exported(shared) != exported(serial) {
+		t.Fatal("the shared Planner's ExportState differs from the serial one's")
 	}
 }
 
@@ -342,18 +416,12 @@ func TestBestOrHoldPreemptForecastHolds(t *testing.T) {
 	if !calm.Morph {
 		t.Fatalf("marginal window %v must morph when no preemption is forecast", marginal)
 	}
-	if calm.PreemptNext {
-		t.Fatal("decision must record PreemptNext = false")
-	}
 	stormy, err := pl.BestOrHold(100, cur, true, rm, Horizon{Until: marginal, PreemptNext: true}, false, Objective{}, Econ{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stormy.Morph {
 		t.Fatalf("marginal window %v must hold when the next event is expected to be a preemption", marginal)
-	}
-	if !stormy.PreemptNext {
-		t.Fatal("decision must record PreemptNext = true")
 	}
 	if stormy.Costs != calm.Costs || stormy.GainPerSec != calm.GainPerSec {
 		t.Fatal("the forecast must change the decision, not the pricing")

@@ -188,23 +188,20 @@ func TestHoldDiscountCalibrationDirection(t *testing.T) {
 	horizon := 24 * simtime.Hour
 	events := spot.EventTrace(mk, 150, horizon, 10*simtime.Minute)
 
-	run := func(legacy bool) Stats {
-		mg := managerWith(t, DefaultOptions(), false)
-		SetLegacyHoldDiscount(mg, legacy)
-		_, stats, err := mg.RunTimeline(events, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
+	// legacyHolds is this trace's hold count under the fixed ½
+	// discount, recorded at commit 82a6362, the last to carry a switch
+	// back to it.
+	const legacyHolds = 16
+	mg := managerWith(t, DefaultOptions(), false)
+	_, stats, err := mg.RunTimeline(events, horizon)
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacy := run(true)
-	calibrated := run(false)
-	t.Logf("holds: legacy ½ %d, calibrated %d", legacy.Holds, calibrated.Holds)
-	if calibrated.Holds < legacy.Holds {
-		t.Fatalf("calibrated discount reduced holds on a bursty trace: %d < %d",
-			calibrated.Holds, legacy.Holds)
+	t.Logf("holds: legacy ½ %d, calibrated %d", legacyHolds, stats.Holds)
+	if stats.Holds < legacyHolds {
+		t.Fatalf("calibrated discount reduced holds on a bursty trace: %d < %d", stats.Holds, legacyHolds)
 	}
-	if calibrated.Holds == 0 {
+	if stats.Holds == 0 {
 		t.Fatal("bursty trace produced no holds at all")
 	}
 }

@@ -336,11 +336,6 @@ type Manager struct {
 	// stream and silently re-randomize an otherwise identical
 	// timeline.
 	hbRng *simtime.Rand
-	// legacyHoldDiscount pins the preempt-next hold discount to the
-	// historical fixed ½ instead of the hazard-calibrated ratio —
-	// test-only, to golden the direction the calibration moves hold
-	// counts.
-	legacyHoldDiscount bool
 }
 
 // Degradation marks a VM that starts fail-stuttering mid-run: from At
@@ -1032,8 +1027,7 @@ func (r *timelineRun) morph(label string, forced bool) {
 			// fraction an allocation (rather than the forecast
 			// preemption) would arrive first in. Reclaim bursts push
 			// it below the legacy ½; balanced traffic reproduces it.
-			if !r.mg.legacyHoldDiscount &&
-				r.gaps.KindObservations(spot.Alloc) > 0 && r.gaps.KindObservations(spot.Preempt) > 0 {
+			if r.gaps.KindObservations(spot.Alloc) > 0 && r.gaps.KindObservations(spot.Preempt) > 0 {
 				ga := r.gaps.ExpectedOf(spot.Alloc)
 				gp := r.gaps.ExpectedOf(spot.Preempt)
 				d := float64(gp) / float64(gp+ga)
